@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputDomainError, OracleFailure
 from .model_spaces import Point, SymmetricSpace, Tangent
-from .numeric_kernel import SymMatrix, spd_inv_sqrt
+from .numeric_kernel import SymMatrix, richardson_limit, spd_inv_sqrt
 
 TOL_TRUNC = 1e-8
 T_MAX = 2 ** 10
@@ -66,7 +66,7 @@ class BusemannFunction:
                                       self.weights, self.unit_dirs):
             if c > 0.0:
                 total += c * f.bus_value(op, vhat, xp)
-        return total
+        return float(total)
 
     def value_many(self, parts_stacks) -> np.ndarray:
         """Vectorized value over a stack of points (list of factor stacks)."""
@@ -137,34 +137,13 @@ class BusemannFunction:
         return num / (d + t)
 
     def _ladder_limit(self, estimate_at, tol, t_max, t0, label):
-        """Limit of estimate_at(T) as T -> infinity over a doubling ladder.
-
-        Builds a Richardson table in powers of 1/T and stops as soon as any
-        column is Cauchy below tol (column 0 catches exponential-rate
-        convergence, deeper columns catch algebraic 1/T tails).
-        estimate_at returns an ndarray; the limit has the same shape.
-        """
-        table = []
-        t = t0
-        best_diff = None
-        while t <= t_max + 1e-9:
-            row = [np.asarray(estimate_at(t), dtype=float)]
-            for j in range(1, len(table) + 1):
-                num = 2.0 ** j
-                row.append((num * row[j - 1] - table[-1][j - 1]) / (num - 1.0))
-            if table:
-                prev = table[-1]
-                diffs = [float(np.max(np.abs(row[j] - prev[j])))
-                         for j in range(len(prev))]
-                jbest = int(np.argmin(diffs))
-                best_diff = diffs[jbest]
-                if best_diff < tol:
-                    return row[jbest]
-            table.append(row)
-            t *= 2.0
+        """Limit of estimate_at(T) as T -> infinity (`richardson_limit`)."""
+        res = richardson_limit(estimate_at, tol, t_max, t0)
+        if res.converged:
+            return res.limit
         raise OracleFailure(
             f"truncated Busemann {label} did not converge",
-            diagnostics={"best_column_diff": best_diff,
+            diagnostics={"best_column_diff": res.best_diff,
                          "t_max": t_max, "tol": tol})
 
     def truncated_value(self, x: Point, tol: float = TOL_TRUNC,
@@ -241,7 +220,3 @@ class BusemannFunction:
             return SymMatrix(self._ladder_limit(hess_at, TOL_ORACLE_HESS, t_max,
                                                 8.0, "hessian"))
         raise InputDomainError(f"unknown oracle request {what!r}")
-
-
-def busemann(space: SymmetricSpace, o: Point, v: Tangent) -> BusemannFunction:
-    return BusemannFunction(space, o, v)

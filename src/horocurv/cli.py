@@ -7,10 +7,9 @@ Subcommands:
 * sweep -- per-direction contact records as CSV/JSON.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
-configuration (unparseable spec, unknown check, unwritable output).
-Reports are byte-stable across reruns except the runtime_ms field.
-The env var CCL_THREADS caps the threads used for per-node surface
-evaluation (results are reduced in fixed node order regardless).
+configuration (unparseable spec, unknown check, unknown config key,
+unwritable output).  Reports are byte-stable across reruns except the
+runtime_ms field.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import verify_harness as vh
 from .errors import HorocurvError
@@ -50,7 +47,6 @@ class SuiteConfig:
     radius: float = 1.0
     dim: int = 0                # 0 = per-audit default
     min_nodes: int = 1000
-    tolerances: dict = field(default_factory=dict)
     output: str = ""
     format: str = "json"
 
@@ -58,17 +54,14 @@ class SuiteConfig:
         """Key-value serialization; parse_config_text round-trips it."""
         lines = [f"checks = {' '.join(self.checks)}"]
         for f in fields(self):
-            if f.name in ("checks", "tolerances"):
-                continue
-            lines.append(f"{f.name} = {getattr(self, f.name)}")
-        for k in sorted(self.tolerances):
-            lines.append(f"tol.{k} = {self.tolerances[k]}")
+            if f.name != "checks":
+                lines.append(f"{f.name} = {getattr(self, f.name)}")
         return "\n".join(lines) + "\n"
 
 
 def parse_config_text(text: str) -> SuiteConfig:
     """Parse the `key = value` config file format (see SuiteConfig.to_text)."""
-    raw: dict = {"tolerances": {}}
+    raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -76,21 +69,17 @@ def parse_config_text(text: str) -> SuiteConfig:
         if "=" not in line:
             raise HorocurvError(f"config line {lineno}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key.startswith("tol."):
-            raw["tolerances"][key[4:]] = float(val)
-        elif key == "checks":
+        if key == "checks":
             raw["checks"] = val.split()
         else:
             raw[key] = val
     cfg = SuiteConfig(checks=raw.pop("checks", []))
-    tolerances = raw.pop("tolerances")
     for f in fields(SuiteConfig):
         if f.name in raw:
             v = raw.pop(f.name)
             cfg.__dict__[f.name] = f.type(v) if callable(f.type) else v
     if raw:
         raise HorocurvError(f"unknown config keys: {sorted(raw)}")
-    cfg.tolerances = tolerances
     cfg.seed = int(cfg.seed)
     cfg.samples = int(cfg.samples)
     cfg.sweep_count = int(cfg.sweep_count)
@@ -98,20 +87,6 @@ def parse_config_text(text: str) -> SuiteConfig:
     cfg.min_nodes = int(cfg.min_nodes)
     cfg.radius = float(cfg.radius)
     return cfg
-
-
-def _prefetch_forms(M: Hypersurface):
-    """Evaluate per-node fundamental forms, optionally in parallel.
-
-    CCL_THREADS caps the worker count; each node is independent and the
-    results land in the surface cache, so later integration (fixed node
-    order) is deterministic either way.
-    """
-    threads = int(os.environ.get("CCL_THREADS", "1") or "1")
-    if threads <= 1:
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(M.fundamental_forms, range(M.size)))
 
 
 def _build_surface(cfg: SuiteConfig):
@@ -132,8 +107,6 @@ def run_suite(cfg: SuiteConfig):
     space = o = M = None
     if any(c in SURFACE_CHECKS for c in cfg.checks):
         space, o, M = _build_surface(cfg)
-        if {"total-curvature", "willmore"} & set(cfg.checks):
-            _prefetch_forms(M)
     elif cfg.space:
         space = parse_space(cfg.space)
         o = space.origin()

@@ -21,6 +21,7 @@ import numpy as np
 from .busemann import BusemannFunction
 from .errors import InputDomainError, TranslationFailure
 from .model_spaces import Point, SymmetricSpace, Tangent
+from .numeric_kernel import richardson_limit
 
 TOL_GAUSS = 1e-5
 TOL_RAY = 1e-8
@@ -61,8 +62,8 @@ def translate_direction_ray(space: SymmetricSpace, o: Point, x: Point,
 
     Follows exp_x(t * (-u)) with t doubling, taking the unit initial
     direction at o of the connecting geodesic; the 1/t tail (flat
-    directions) is removed by Richardson extrapolation with column-wise
-    Cauchy stopping.  t is capped so no factor coordinate overflows.
+    directions) is removed by `richardson_limit`.  t is capped so no
+    factor coordinate overflows.
     """
     cap = t_max
     for f, xp, up in zip(space.factors, x.parts, u.parts):
@@ -76,28 +77,13 @@ def translate_direction_ray(space: SymmetricSpace, o: Point, x: Point,
         w = Tangent(space, o, parts)
         return space.tangent_to_coords(w) / space.norm(w)
 
-    table = []
-    t = 8.0
-    best = None
-    while t <= cap + 1e-9:
-        row = [v_at(t)]
-        for j in range(1, len(table) + 1):
-            num = 2.0 ** j
-            row.append((num * row[j - 1] - table[-1][j - 1]) / (num - 1.0))
-        if table:
-            prev = table[-1]
-            diffs = [float(np.max(np.abs(row[j] - prev[j])))
-                     for j in range(len(prev))]
-            jbest = int(np.argmin(diffs))
-            best = row[jbest]
-            if diffs[jbest] < tol:
-                v = space.coords_to_tangent(o, best)
-                return space.scale(v, 1.0 / space.norm(v))
-        table.append(row)
-        t *= 2.0
+    res = richardson_limit(v_at, tol, cap, 8.0)
+    if res.converged:
+        v = space.coords_to_tangent(o, res.limit)
+        return space.scale(v, 1.0 / space.norm(v))
     raise TranslationFailure(
         "asymptotic-ray translation did not converge",
-        last_iterates=(best, table[-1][0] if table else None))
+        last_iterates=(res.limit, res.last_estimate))
 
 
 def gauss_map_at(M, node, o: Point, tol_gauss: float = TOL_GAUSS) -> Tangent:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (ChartDegeneracyError, ConfigError, InputDomainError,
                      UnsupportedVolumeError)
-from .model_spaces import Point, SymmetricSpace, Tangent
+from .model_spaces import Point, SymmetricSpace, Tangent, _fmt
 from .numeric_kernel import SymMatrix
 
 H_SHAPE_REL = 1e-4
@@ -179,10 +179,6 @@ class RadiusProfile:
                 f"amp={_fmt(self.amp)}")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x)) if x != int(x) else str(int(x))
-
-
 def parse_surface(spec: str) -> RadiusProfile:
     """Parse "geodesic-sphere:r=R" or "radial-graph:base=R,mode=M,amp=A"."""
     spec = spec.strip()
@@ -239,8 +235,6 @@ class Hypersurface:
     # -- chart evaluation -----------------------------------------------------
 
     def grid_spec(self) -> str:
-        if self.n == 2 and len(set(self.grid_counts)) > 1:
-            return f"{self.grid_counts[0]}x{self.grid_counts[1]}"
         if self.n == 2:
             return f"{self.grid_counts[0]}x{self.grid_counts[1]}"
         return f"{self.grid_counts[0]}^{self.n}"

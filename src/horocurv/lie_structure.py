@@ -1,9 +1,9 @@
-"""Lie-algebra machinery for the irreducible noncompact factors.
+"""Lie-algebra machinery for the SPD factors.
 
-Supports sl(n,R) and so(m,1): Killing form, Cartan decomposition with
-respect to theta(X) = -X^T, ad operators, restricted roots with
-multiplicities, and the minimal metric scale forced by a sectional
-curvature lower bound.
+Supports sl(n,R), the algebra of SL(n,R)/SO(n): Killing form, Cartan
+decomposition with respect to theta(X) = -X^T, ad operators, restricted
+roots with multiplicities, and the minimal metric scale forced by a
+sectional curvature lower bound.
 
 Sign convention: the curvature tensor of a noncompact-type symmetric
 space at the base point is R(X,Y)Z = -[[X,Y],Z] for X,Y,Z in p, so
@@ -29,30 +29,20 @@ def _bracket(x, y):
 
 
 class MatrixLieAlgebra:
-    """sl(n,R) or so(m,1) with a fixed ordered basis.
+    """sl(n,R) with a fixed ordered basis.
 
-    Basis convention: for sl(n,R) the off-diagonal units E_ij in row-major
-    order followed by the traceless diagonals E_kk - E_{k+1,k+1}; for
-    so(m,1) the rotations E_ij - E_ji (i<j<=m) followed by the boosts
-    E_{i,m+1} + E_{m+1,i}.  The ordering is fixed so that every derived
-    array is reproducible bit-for-bit.
+    Basis convention: the off-diagonal units E_ij in row-major order
+    followed by the traceless diagonals E_kk - E_{k+1,k+1}.  The ordering
+    is fixed so that every derived array is reproducible bit-for-bit.
     """
 
     def __init__(self, family: str, size: int):
-        if family == "sl":
-            if size < 2:
-                raise ConfigError("sl(n,R) requires n >= 2")
-            self.family, self.n = "sl", size
-            self.matrix_size = size
-            self.basis = self._sl_basis(size)
-        elif family == "so":
-            if size < 2:
-                raise ConfigError("so(m,1) requires m >= 2")
-            self.family, self.n = "so", size
-            self.matrix_size = size + 1
-            self.basis = self._so_basis(size)
-        else:
+        if family != "sl":
             raise ConfigError(f"unsupported family {family!r}")
+        if size < 2:
+            raise ConfigError("sl(n,R) requires n >= 2")
+        self.n = size
+        self.basis = self._sl_basis(size)
         self.dim = len(self.basis)
         flat = np.stack([b.ravel() for b in self.basis], axis=1)
         self._flat = flat
@@ -73,20 +63,6 @@ class MatrixLieAlgebra:
             basis.append(e)
         return basis
 
-    @staticmethod
-    def _so_basis(m):
-        basis = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                e = np.zeros((m + 1, m + 1))
-                e[i, j], e[j, i] = 1.0, -1.0
-                basis.append(e)
-        for i in range(m):
-            e = np.zeros((m + 1, m + 1))
-            e[i, m], e[m, i] = 1.0, 1.0
-            basis.append(e)
-        return basis
-
     # -- coordinates and structure constants ------------------------------
 
     def coords(self, x, tol=_SPAN_TOL):
@@ -102,7 +78,7 @@ class MatrixLieAlgebra:
 
     def from_coords(self, c):
         return (self._flat @ np.asarray(c, dtype=float)).reshape(
-            self.matrix_size, self.matrix_size)
+            self.n, self.n)
 
     @cached_property
     def ad_basis(self):
@@ -223,18 +199,12 @@ class RootDatum:
 
 
 def _abelian_basis(alg: MatrixLieAlgebra):
-    if alg.family == "sl":
-        n = alg.n
-        raw = []
-        for k in range(n - 1):
-            e = np.zeros((n, n))
-            e[k, k], e[k + 1, k + 1] = 1.0, -1.0
-            raw.append(e)
-    else:  # so(m,1): rank one, one boost
-        m = alg.n
-        e = np.zeros((m + 1, m + 1))
-        e[0, m], e[m, 0] = 1.0, 1.0
-        raw = [e]
+    n = alg.n
+    raw = []
+    for k in range(n - 1):
+        e = np.zeros((n, n))
+        e[k, k], e[k + 1, k + 1] = 1.0, -1.0
+        raw.append(e)
     # beta-orthonormalize (beta is positive definite on p)
     out = []
     for v in raw:
@@ -253,8 +223,6 @@ def restricted_roots(alg: MatrixLieAlgebra) -> RootDatum:
     for H in p); eigenvectors are grouped by their functional on a,
     evaluated by Rayleigh quotients against each abelian basis element.
     """
-    if alg.family not in ("sl", "so"):
-        raise ConfigError(f"unsupported family {alg.family!r}")
     ab = _abelian_basis(alg)
     rank = len(ab)
     # regular element: geometric weights keep all root values distinct

@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm_frechet
-from scipy.optimize import minimize
 
 from .errors import (ConfigError, DegeneratePlaneError, InputDomainError,
                      UnsupportedVolumeError)
@@ -31,8 +30,7 @@ from .lie_structure import MatrixLieAlgebra, metric_scale_bound, restricted_root
 from .numeric_kernel import spd_inv_sqrt, sym_exp
 
 POINT_TOL = 1e-10
-SPD_CURVATURE_MARGIN = 0.05
-_SPD_CURVATURE_SAMPLES = 10_000
+SPD_CURVATURE_MARGIN = 0.05    # relative safety margin on the SPD kappa
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,6 @@ class EuclideanFactor:
         return float(np.dot(u, v))
 
     def exp(self, x, v):
-        return x + v
-
-    def exp_raw(self, x, v):
         return x + v
 
     def log(self, x, y):
@@ -448,7 +443,13 @@ class SPDFactor:
         return xs @ fr @ xs
 
     def curvature_lower_bound(self):
-        return _spd_kappa(self.n, self.lam)
+        """kappa with sec >= -kappa^2, kappa^2 = max|alpha|^2 / lam.
+
+        The closed form for a noncompact symmetric space with metric
+        lam * Killing (Helgason, Ch. V), inflated by SPD_CURVATURE_MARGIN.
+        """
+        return (self.root_datum.max_root_norm / math.sqrt(self.lam)
+                * (1.0 + SPD_CURVATURE_MARGIN))
 
     def sectional_numerator(self, x, u, v):
         xsi = spd_inv_sqrt(x)[1]
@@ -620,54 +621,6 @@ def _sl_algebra(n: int) -> MatrixLieAlgebra:
     return MatrixLieAlgebra("sl", n)
 
 
-@lru_cache(maxsize=None)
-def _spd_kappa(n: int, lam: float) -> float:
-    """Certified-conservative curvature bound for SPD(n, lam).
-
-    Samples 10^4 random 2-planes, refines from the worst by local descent,
-    and inflates by a 5% safety margin.
-    """
-    rng = np.random.default_rng(1234567)
-    d = n * n
-    xs = rng.standard_normal((_SPD_CURVATURE_SAMPLES, n, n))
-    ys = rng.standard_normal((_SPD_CURVATURE_SAMPLES, n, n))
-
-    def to_p(a):
-        a = 0.5 * (a + np.swapaxes(a, -1, -2))
-        tr = np.trace(a, axis1=-2, axis2=-1) / n
-        return a - tr[..., None, None] * np.eye(n)
-
-    xs, ys = to_p(xs), to_p(ys)
-    sec = _spd_sec_batch(xs, ys, n, lam)
-    worst = int(np.argmin(sec))
-
-    def objective(flat):
-        a = to_p(flat[:d].reshape(n, n))
-        b = to_p(flat[d:].reshape(n, n))
-        s = _spd_sec_batch(a[None], b[None], n, lam)[0]
-        return s
-
-    x0 = np.concatenate([xs[worst].ravel(), ys[worst].ravel()])
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
-    sec_min = min(float(np.min(sec)), float(res.fun))
-    return math.sqrt(max(-sec_min, 0.0)) * (1.0 + SPD_CURVATURE_MARGIN)
-
-
-def _spd_sec_batch(xs, ys, n, lam):
-    w = xs @ ys - ys @ xs
-    num = np.einsum("...ij,...ji->...", w, w)
-    txx = np.einsum("...ij,...ji->...", xs, xs)
-    tyy = np.einsum("...ij,...ji->...", ys, ys)
-    txy = np.einsum("...ij,...ji->...", xs, ys)
-    gram = txx * tyy - txy * txy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sec = num / (lam * 2.0 * n * gram)
-    # near-degenerate planes make the ratio pure rounding noise; exclude them
-    sec = np.where(gram > 1e-9 * txx * tyy, sec, 0.0)
-    return sec
-
-
 # ---------------------------------------------------------------------------
 # product space
 # ---------------------------------------------------------------------------
@@ -744,12 +697,6 @@ class SymmetricSpace:
             f.project_point(f.exp(xp, vp))
             for f, xp, vp in zip(self.factors, x.parts, v.parts)))
 
-    def exp_map_raw(self, x: Point, v: Tangent) -> Point:
-        """exp without per-factor constraint repair (for far ray points)."""
-        return Point(self, tuple(
-            f.exp_raw(xp, vp)
-            for f, xp, vp in zip(self.factors, x.parts, v.parts)))
-
     def log_map(self, x: Point, y: Point) -> Tangent:
         return Tangent(self, x, tuple(
             f.log(xp, yp) for f, xp, yp in zip(self.factors, x.parts, y.parts)))
@@ -771,9 +718,6 @@ class SymmetricSpace:
         return Tangent(self, y, tuple(
             f.transport(xp, yp, vp)
             for f, xp, yp, vp in zip(self.factors, x.parts, y.parts, v.parts)))
-
-    def point_symmetry(self, x: Point, y: Point) -> Point:
-        return self.exp_map(x, self.scale(self.log_map(x, y), -1.0))
 
     def exp_differential(self, x: Point, v: Tangent, w: Tangent) -> Tangent:
         """d/ds exp_x(v + s w) at s = 0, as a tangent at exp_x(v)."""

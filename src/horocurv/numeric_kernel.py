@@ -3,12 +3,15 @@
 Everything here operates on small (dim <= ~15) real matrices.  Reductions
 run in fixed index order and the eigensolver is LAPACK's deterministic
 symmetric driver, so repeated calls on identical inputs are bit-stable.
+`richardson_limit` is the one Richardson extrapolation ladder used by the
+truncated Busemann oracle and the asymptotic-ray translation.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InputDomainError, NotPSDError
 
@@ -82,16 +85,6 @@ def psd_sqrt(m) -> SymMatrix:
     return SymMatrix(r)
 
 
-def mat_exp(m) -> np.ndarray:
-    """Matrix exponential of a square real array."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputDomainError(f"expected a square array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InputDomainError("matrix has non-finite entries")
-    return expm(a)
-
-
 def mat_log_spd(m) -> np.ndarray:
     """Principal logarithm of a symmetric positive-definite matrix."""
     a = _as_sym_array(m)
@@ -99,15 +92,6 @@ def mat_log_spd(m) -> np.ndarray:
     if w.size and w[0] <= 0.0:
         raise InputDomainError(f"matrix is not positive definite (min eig {w[0]:.3e})")
     return (q * np.log(w)) @ q.T
-
-
-def mat_exp_log(m, mode: str) -> np.ndarray:
-    """Dispatch to `mat_exp` (mode 'exp') or `mat_log_spd` (mode 'log_spd')."""
-    if mode == "exp":
-        return mat_exp(m)
-    if mode == "log_spd":
-        return mat_log_spd(m)
-    raise InputDomainError(f"unknown mode {mode!r}")
 
 
 def sym_exp(m) -> np.ndarray:
@@ -128,3 +112,49 @@ def spd_inv_sqrt(m):
         raise InputDomainError(f"matrix is not positive definite (min eig {w[0]:.3e})")
     s = np.sqrt(w)
     return (q * s) @ q.T, (q / s) @ q.T
+
+
+class LadderResult(NamedTuple):
+    """Outcome of `richardson_limit`.
+
+    `limit` is the best column of the last row compared (the limit when
+    `converged`), `best_diff` its Cauchy difference and `last_estimate`
+    the plain estimate at the largest T; each is None when the ladder
+    never got that far.
+    """
+
+    converged: bool
+    limit: np.ndarray | None
+    best_diff: float | None
+    last_estimate: np.ndarray | None
+
+
+def richardson_limit(estimate_at, tol: float, t_max: float,
+                     t0: float) -> LadderResult:
+    """Limit of estimate_at(T) as T -> infinity over a doubling ladder.
+
+    Builds a Richardson table in powers of 1/T for T = t0, 2 t0, ... <= t_max
+    and stops as soon as any column is Cauchy below tol (column 0 catches
+    exponential-rate convergence, deeper columns catch algebraic 1/T
+    tails).  estimate_at returns an ndarray; the limit has the same shape.
+    """
+    table = []
+    t = t0
+    best, best_diff = None, None
+    while t <= t_max + 1e-9:
+        row = [np.asarray(estimate_at(t), dtype=float)]
+        for j in range(1, len(table) + 1):
+            num = 2.0 ** j
+            row.append((num * row[j - 1] - table[-1][j - 1]) / (num - 1.0))
+        if table:
+            prev = table[-1]
+            diffs = [float(np.max(np.abs(row[j] - prev[j])))
+                     for j in range(len(prev))]
+            jbest = int(np.argmin(diffs))
+            best, best_diff = row[jbest], diffs[jbest]
+            if best_diff < tol:
+                return LadderResult(True, best, best_diff, row[0])
+        table.append(row)
+        t *= 2.0
+    return LadderResult(False, best, best_diff,
+                        table[-1][0] if table else None)

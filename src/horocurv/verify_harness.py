@@ -41,6 +41,8 @@ JAC_SLACK = 1e-3
 INEQ_TOL = 1e-6
 SWEEP_COUNT = 500
 GOLDEN_STEPS = 20
+STENCIL_EXCLUDED_MAX = 0.1     # share of sweep contact nodes
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def sphere_area(n: int) -> float:
@@ -98,12 +100,14 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """JSON-ready fields: numpy results become plain float and bool."""
         return {"check": self.check, "space": self.space,
                 "surface": self.surface, "grid": self.grid,
-                "kappa": self.kappa, "diameter": self.diameter,
-                "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin,
-                "pass": self.passed, "tolerances": self.tolerances,
-                "seed": self.seed, "runtime_ms": self.runtime_ms}
+                "kappa": float(self.kappa), "diameter": float(self.diameter),
+                "lhs": float(self.lhs), "rhs": float(self.rhs),
+                "margin": float(self.margin), "pass": bool(self.passed),
+                "tolerances": self.tolerances, "seed": self.seed,
+                "runtime_ms": self.runtime_ms}
 
 
 def _report(check, M, space, **kw):
@@ -119,6 +123,22 @@ def _report(check, M, space, **kw):
 # contact sets
 # ---------------------------------------------------------------------------
 
+def _golden_max(g, a: float, b: float, iters: int):
+    """Golden-section search for a maximizer of g on [a, b]; (s, g(s))."""
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    gc, gd = g(c), g(d)
+    for _ in range(iters):
+        if gc < gd:
+            a, c, gc = c, d, gd
+            d = a + _INVPHI * (b - a)
+            gd = g(d)
+        else:
+            b, d, gd = d, c, gc
+            c = b - _INVPHI * (b - a)
+            gc = g(c)
+    return (c, gc) if gc >= gd else (d, gd)
+
+
 def _refine_max(M, bus: BusemannFunction, node: int,
                 steps: int = GOLDEN_STEPS):
     """Golden-section ascent of B_v(embed(params)) around a grid maximizer.
@@ -127,7 +147,6 @@ def _refine_max(M, bus: BusemannFunction, node: int,
     shrinking brackets; removes the grid bias of the contact level and
     locates the off-grid contact point.  Returns (value, params).
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     p = np.array(M.node_params(node), dtype=float)
     half = M.axis_spacing(node).astype(float)
 
@@ -140,23 +159,12 @@ def _refine_max(M, bus: BusemannFunction, node: int,
     best = f(p)
     for step in range(steps):
         axis = step % M.n
-        a, b = -half[axis], half[axis]
         e = np.zeros(M.n)
         e[axis] = 1.0
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        fc, fd = f(p + c * e), f(p + d * e)
-        for _ in range(15):
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(p + d * e)
-            else:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(p + c * e)
-        s = c if fc >= fd else d
-        if max(fc, fd) > best:
-            best = max(fc, fd)
+        s, val = _golden_max(lambda t: f(p + t * e), -half[axis], half[axis],
+                             15)
+        if val > best:
+            best = val
             p = p + s * e
         if axis == M.n - 1:
             half *= 0.3
@@ -183,20 +191,7 @@ def _polish_max(M, bus, p, best, f, iters: int = 10):
         if gnorm < 1e-11:
             break
         # golden line search along dp (ascent step ~ inverse curvature of B on M)
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = 0.0, 4.0
-        c, d = b - invphi * b, invphi * b
-        fc, fd = f(p + c * dp), f(p + d * dp)
-        for _ in range(20):
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(p + d * dp)
-            else:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(p + c * dp)
-        s, val = (c, fc) if fc >= fd else (d, fd)
+        s, val = _golden_max(lambda t: f(p + t * dp), 0.0, 4.0, 20)
         if val <= best:
             break
         best = val
@@ -364,23 +359,35 @@ def contact_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
 
 def jacobian_sweep_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
                          seed: int = 42) -> VerificationReport:
-    """Jacobian bound at the contact points of a direction sweep."""
+    """Jacobian bound at the contact points of a direction sweep.
+
+    Fails unless every record passes `jacobian_check`, at least one contact
+    node was measured, and at most STENCIL_EXCLUDED_MAX of the contact
+    nodes were stencil-excluded (a sweep that measured nothing proves
+    nothing).
+    """
+    if sweep_count < 1:
+        raise InputDomainError("the jacobian sweep needs sweep_count >= 1")
     t0 = time.perf_counter()
     d = M.diameter_extrinsic()
     worst = None
     ok = True
-    excluded = 0
+    nodes = excluded = 0
     for rec in contact_sweep(M, o, sweep_count, seed, measure_jacobian=True):
         rep = jacobian_check(M, o, rec, diameter=d)
         ok = ok and rep.passed
+        nodes += rep.details["contact_nodes"]
         excluded += rep.details["stencil_excluded"]
         if worst is None or rep.margin < worst.margin:
             worst = rep
+    measured = nodes - excluded
+    ok = ok and measured > 0 and excluded <= STENCIL_EXCLUDED_MAX * nodes
     out = _report(
         "jacobian", M, M.space, diameter=d, lhs=worst.lhs, rhs=worst.rhs,
         margin=worst.margin, passed=ok, tolerances=worst.tolerances,
         seed=seed, runtime_ms=(time.perf_counter() - t0) * 1e3,
-        details={"sweep_count": sweep_count, "stencil_excluded": excluded})
+        details={"sweep_count": sweep_count, "contact_nodes": nodes,
+                 "measured": measured, "stencil_excluded": excluded})
     return out
 
 

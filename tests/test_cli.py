@@ -7,6 +7,7 @@ import pytest
 
 from horocurv.cli import (SuiteConfig, main, parse_config_text,
                           render_reports, run_suite)
+from horocurv.errors import HorocurvError
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -90,8 +91,7 @@ def test_csv_format(capsys):
 
 def test_config_file_round_trip(tmp_path):
     cfg = SuiteConfig(checks=["contact", "willmore"], space="spd:3",
-                      grid="8^4", seed=9, radius=0.5,
-                      tolerances={"residual": 1e-3})
+                      grid="8^4", seed=9, radius=0.5)
     assert parse_config_text(cfg.to_text()) == cfg
 
 
@@ -105,8 +105,9 @@ def test_config_file_drives_run(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(Exception):
-        parse_config_text("frobnication = 7\n")
+    for text in ("frobnication = 7\n", "tol.residual = 1e-3\n"):
+        with pytest.raises(HorocurvError, match="unknown config keys"):
+            parse_config_text(text)
 
 
 def test_failing_check_exit_one(capsys, monkeypatch):
@@ -132,3 +133,27 @@ def test_report_written_to_file(tmp_path):
     assert rc == 0
     reports = json.loads(out.read_text())
     jsonschema.validate(reports, _schema())
+
+
+def test_isoperimetric_report_emits(capsys):
+    # the isoperimetric pass flag is a numpy bool before to_dict
+    rc = main(["verify", "isoperimetric", "--space", "hyperbolic:3,kappa=1",
+               "--radius", "0.5", "--grid", "4x8"])
+    reports = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    jsonschema.validate(reports, _schema())
+    assert reports[0]["pass"] is True
+
+
+def test_sweep_spd_fields_are_plain_numbers(capsys):
+    # SPD Busemann values are numpy scalars inside the factor closed form
+    rc = main(["sweep", "--space", "spd:3",
+               "--surface", "geodesic-sphere:r=0.5", "--grid", "3^4",
+               "--count", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 1
+    for field in rows[0].split(","):
+        if field:
+            float(field)

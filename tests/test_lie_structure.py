@@ -70,15 +70,6 @@ def test_metric_scale_bound(sl3):
         metric_scale_bound(rd, 0.0)
 
 
-def test_so_roots_rank_one():
-    # [DERIVED] so(m,1) is rank one: roots +/-alpha with multiplicity m-1
-    alg = MatrixLieAlgebra("so", 3)
-    rd = restricted_roots(alg)
-    assert rd.rank == 1
-    assert len(rd.roots) == 2
-    assert sorted(m for _, m in rd.roots) == [2, 2]
-
-
 def test_sectional_curvature_nonpositive(sl3):
     rng = np.random.default_rng(2)
     mats = sl3.p_basis_matrices()

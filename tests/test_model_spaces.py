@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from horocurv.errors import ConfigError
-from horocurv.model_spaces import parse_space
+from horocurv.lie_structure import algebraic_sectional_curvature
+from horocurv.model_spaces import SPD_CURVATURE_MARGIN, parse_space
 
 SPACES = {
     "euclidean:3": "euclidean:3",
@@ -133,10 +134,25 @@ def test_hyperbolic_constant_curvature():
 
 
 def test_spd_curvature_bound_attained():
-    # [DERIVED] default lambda = |alpha|^2_max gives sampled bound 1.05
-    # (true extremal sectional curvature -1, 5% sampling margin)
+    # [DERIVED] default lambda = |alpha|^2_max gives bound 1.05
+    # (true extremal sectional curvature -1, SPD_CURVATURE_MARGIN of 5%)
     space = parse_space("spd:3")
     assert abs(space.curvature_lower_bound - 1.05) < 1e-9
+
+
+@pytest.mark.parametrize("spec", ["spd:2", "spd:3", "spd:4", "spd:3,lambda=4"])
+def test_spd_curvature_bound_closed_form(spec):
+    # [PAPER] sec >= -max|alpha|^2 / lambda, attained on a root plane
+    # span(E_11 - E_22, E_12 + E_21)
+    space = parse_space(spec)
+    f = space.factors[0]
+    x = np.zeros((f.n, f.n))
+    x[0, 0], x[1, 1] = 1.0, -1.0
+    y = np.zeros((f.n, f.n))
+    y[0, 1] = y[1, 0] = 1.0
+    sec = algebraic_sectional_curvature(f.algebra, x, y, f.lam)
+    kappa = space.curvature_lower_bound / (1.0 + SPD_CURVATURE_MARGIN)
+    assert abs(sec + kappa ** 2) < 1e-12
 
 
 def test_spd_lambda_scaling():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from horocurv import verify_harness as vh
+from horocurv.errors import InputDomainError
 from horocurv.hypersurface import geodesic_sphere, radial_graph
 from horocurv.model_spaces import parse_space
 from horocurv.numeric_kernel import op_norm, psd_sqrt
@@ -227,3 +228,19 @@ def test_report_shape(e3, e3_sphere):
                       "lhs", "rhs", "margin", "pass", "tolerances", "seed",
                       "runtime_ms"}
     assert d["pass"] == (rep.margin >= -vh.INEQ_TOL * rep.rhs)
+
+
+def test_jacobian_sweep_fails_when_nothing_measured(e3, monkeypatch):
+    # every contact node stencil-excluded: the sweep measured nothing
+    M = geodesic_sphere(e3, e3.origin(), 1.0, [12, 24])
+    rep = vh.jacobian_sweep_check(M, e3.origin(), sweep_count=3)
+    assert rep.passed
+    assert rep.details["measured"] == 3
+    monkeypatch.setattr(vh, "_measure_jacobian",
+                        lambda M, node, o, data: (None, False))
+    rep = vh.jacobian_sweep_check(M, e3.origin(), sweep_count=3)
+    assert not rep.passed
+    assert rep.details["measured"] == 0
+    assert rep.details["stencil_excluded"] == 3
+    with pytest.raises(InputDomainError):
+        vh.jacobian_sweep_check(M, e3.origin(), sweep_count=0)
