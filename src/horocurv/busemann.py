@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import InputDomainError, OracleFailure
 from .model_spaces import Point, SymmetricSpace, Tangent
@@ -61,24 +62,15 @@ class BusemannFunction:
     # -- closed forms ---------------------------------------------------------
 
     def value(self, x: Point) -> float:
-        total = 0.0
-        for f, op, xp, c, vhat in zip(self.space.factors, self.o.parts, x.parts,
-                                      self.weights, self.unit_dirs):
-            if c > 0.0:
-                total += c * f.bus_value(op, vhat, xp)
-        return float(total)
+        return float(self.value_many(x.parts))
 
     def value_many(self, parts_stacks) -> np.ndarray:
         """Vectorized value over a stack of points (list of factor stacks)."""
-        total = None
-        for f, op, xs, c, vhat in zip(self.space.factors, self.o.parts,
-                                      parts_stacks, self.weights, self.unit_dirs):
-            if c > 0.0:
-                t = c * f.bus_value_many(op, vhat, xs)
-                total = t if total is None else total + t
-        if total is None:
-            raise InputDomainError("zero direction")
-        return np.asarray(total)
+        return np.asarray(sum(
+            c * f.bus_value(op, vhat, xs)
+            for f, op, xs, c, vhat in zip(self.space.factors, self.o.parts,
+                                          parts_stacks, self.weights,
+                                          self.unit_dirs) if c > 0.0))
 
     def gradient(self, x: Point) -> Tangent:
         parts = []
@@ -99,23 +91,14 @@ class BusemannFunction:
                 blocks.append(np.zeros((f.dim, f.dim)))
                 continue
             if f.kind == "hyperbolic":
-                grad = f.bus_grad(op, vhat, xp)
-                frame = f.frame(xp)
-                g_coords = np.array([f.minkowski(grad, e) for e in frame])
+                g_coords = f.to_coords(xp, f.bus_grad(op, vhat, xp))
                 blocks.append(c * f.kappa * (np.eye(f.dim) - np.outer(g_coords, g_coords)))
             else:  # spd
                 grad = f.bus_grad(op, vhat, xp)
                 xs, xsi = spd_inv_sqrt(xp)
                 u0 = xsi @ grad @ xsi
                 blocks.append(c * f.hess_matrix_identity_frame(0.5 * (u0 + u0.T)))
-        n1 = self.space.total_dim
-        out = np.zeros((n1, n1))
-        pos = 0
-        for b in blocks:
-            d = b.shape[0]
-            out[pos:pos + d, pos:pos + d] = b
-            pos += d
-        return SymMatrix(out)
+        return SymMatrix(block_diag(*blocks))
 
     # -- independent truncation oracle -----------------------------------------
 

@@ -177,8 +177,7 @@ def render_reports(reports, fmt: str) -> str:
     raise HorocurvError(f"unknown report format {fmt!r}")
 
 
-def emit_report(reports, fmt: str, path: str):
-    text = render_reports(reports, fmt)
+def emit_report(text: str, path: str):
     if not path or path == "-":
         sys.stdout.write(text)
         return
@@ -189,21 +188,33 @@ def emit_report(reports, fmt: str, path: str):
         raise HorocurvError(f"cannot write report to {path!r}: {e}") from e
 
 
-def render_sweep_csv(records) -> str:
-    """Per-direction contact records as CSV."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["direction", "c_v", "tie_tol", "s_residual",
-                "eig_min_support", "eig_min_hessian", "GK", "jacobian",
-                "stencil_ok"])
+_SWEEP_FIELDS = ["direction", "c_v", "tie_tol", "s_residual",
+                 "eig_min_support", "eig_min_hessian", "GK", "jacobian",
+                 "stencil_ok"]
+
+
+def _sweep_rows(records):
+    """One row of _SWEEP_FIELDS values per record; jacobian None if unmeasured."""
     for i, rec in enumerate(records):
         cn = rec.representative
-        w.writerow([i, repr(rec.c_v), repr(rec.tie_tol), repr(cn.s_residual),
-                    repr(cn.eig_min_support), repr(cn.eig_min_hessian),
-                    repr(cn.GK),
-                    "" if cn.jacobian is None else repr(cn.jacobian),
-                    int(cn.stencil_ok)])
+        yield [i, rec.c_v, rec.tie_tol, cn.s_residual, cn.eig_min_support,
+               cn.eig_min_hessian, cn.GK, cn.jacobian, int(cn.stencil_ok)]
+
+
+def render_sweep_csv(records) -> str:
+    """Per-direction contact records as CSV (floats in repr, empty jacobian
+    when unmeasured)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(_SWEEP_FIELDS)
+    w.writerows(_sweep_rows(records))
     return buf.getvalue()
+
+
+def render_sweep_json(records) -> str:
+    """Per-direction contact records as a JSON list of CSV-named objects."""
+    return json.dumps([dict(zip(_SWEEP_FIELDS, row))
+                       for row in _sweep_rows(records)], indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +261,7 @@ def build_parser():
     ps.add_argument("--jacobian", action="store_true",
                     help="also measure the Gauss-map Jacobian per direction")
     _add_common(ps)
+    ps.set_defaults(format="csv")
     return ap
 
 
@@ -283,12 +295,9 @@ def main(argv=None) -> int:
             M = Hypersurface(space, o, profile, counts)
             records = vh.contact_sweep(M, o, args.count, args.seed,
                                        measure_jacobian=args.jacobian)
-            text = render_sweep_csv(records)
-            if not args.output or args.output == "-":
-                sys.stdout.write(text)
-            else:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+            render = (render_sweep_csv if args.format == "csv"
+                      else render_sweep_json)
+            emit_report(render(records), args.output)
             return 0
         cfg = config_from_args(args)
         if not cfg.checks:
@@ -301,7 +310,7 @@ def main(argv=None) -> int:
         print(f"horocurv: error: {e}", file=sys.stderr)
         return 2
     try:
-        emit_report(reports, cfg.format, cfg.output)
+        emit_report(render_reports(reports, cfg.format), cfg.output)
     except HorocurvError as e:
         print(f"horocurv: error: {e}", file=sys.stderr)
         return 2

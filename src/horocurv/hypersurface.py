@@ -167,9 +167,9 @@ class RadiusProfile:
         self.base, self.mode, self.amp = float(base), mode, float(amp)
 
     def __call__(self, e, de):
-        """(r, dr/dparams) for direction e (n+1,) and its jacobian de."""
-        r = self.base * (1.0 + self.amp * e[0])
-        dr = self.base * self.amp * de[0, :]
+        """(r, dr/dparams) for directions e (..., n+1) and jacobians de."""
+        r = self.base * (1.0 + self.amp * e[..., 0])
+        dr = self.base * self.amp * de[..., 0, :]
         return r, dr
 
     def spec(self) -> str:
@@ -227,7 +227,6 @@ class Hypersurface:
         (self.params, self.param_weights, self._dir_fn,
          self.axes_nodes) = build_param_grid(self.n, self.grid_counts)
         self.size = len(self.params)
-        self._frame_o = space.frame_at(center)
         self._cache = {}
         self._points_cache = None
         self._area_cache = None
@@ -239,8 +238,18 @@ class Hypersurface:
             return f"{self.grid_counts[0]}x{self.grid_counts[1]}"
         return f"{self.grid_counts[0]}^{self.n}"
 
-    def _tangent_from_coords(self, coords) -> Tangent:
-        return self.space.coords_to_tangent(self.center, coords)
+    def _evaluate(self, params):
+        """The surface point at params (n,) or (..., n): (x, v, e, de, r, dr).
+
+        x = exp_center(v) with v = r(e) e in center-frame coordinates, e the
+        unit direction and r the radius profile, with their parameter
+        derivatives de, dr.  The one evaluator behind embed, points_stack
+        and chart; for a params stack the parts of x are factor stacks.
+        """
+        e, de = self._dir_fn(np.asarray(params, dtype=float))
+        r, dr = self.profile(e, de)
+        v = self.space.coords_to_tangent(self.center, r[..., None] * e)
+        return self.space.exp_map(self.center, v), v, e, de, r, dr
 
     def chart(self, params, orient: bool = True):
         """Full chart data at arbitrary parameters.
@@ -251,14 +260,11 @@ class Hypersurface:
         orient=False leaves the sign arbitrary (cheaper, for finite
         differences that fix the sign against a reference normal).
         """
-        e, de = self._dir_fn(np.asarray(params, dtype=float))
-        r, dr = self.profile(e, de)
+        x, v, e, de, r, dr = self._evaluate(params)
         space = self.space
-        v = self._tangent_from_coords(r * e)
-        x = space.exp_map(self.center, v)
         tangents = []
         for b in range(self.n):
-            w = self._tangent_from_coords(dr[b] * e + r * de[:, b])
+            w = space.coords_to_tangent(self.center, dr[b] * e + r * de[:, b])
             tangents.append(space.exp_differential(self.center, v, w))
         # the deterministic frame is orthonormal, so metric inner products
         # coincide with dot products of frame coordinates
@@ -285,8 +291,8 @@ class Hypersurface:
             _, _, vh = np.linalg.svd(tmat)
             nu_coords = vh[-1]
         if orient:
-            radial = space.exp_differential(self.center, v,
-                                            self._tangent_from_coords(e))
+            radial = space.exp_differential(
+                self.center, v, space.coords_to_tangent(self.center, e))
             if float(nu_coords @ space.tangent_to_coords(radial)) < 0.0:
                 nu_coords = -nu_coords
         nu = space.coords_to_tangent(x, nu_coords)
@@ -295,9 +301,7 @@ class Hypersurface:
 
     def embed(self, params) -> Point:
         """Embedding point only (no chart tangents) -- cheap evaluator."""
-        e, de = self._dir_fn(np.asarray(params, dtype=float))
-        r, _ = self.profile(e, de)
-        return self.space.exp_map(self.center, self._tangent_from_coords(r * e))
+        return self._evaluate(params)[0]
 
     def axis_spacing(self, node: int) -> np.ndarray:
         """Local half-spacing per parameter axis around a grid node."""
@@ -337,18 +341,7 @@ class Hypersurface:
     def points_stack(self):
         """Stacked factor arrays for all nodes (for batched evaluations)."""
         if self._points_cache is None:
-            e, _ = self._dir_fn(self.params)
-            r = self.profile.base * (1.0 + self.profile.amp * e[:, 0])
-            coords = r[:, None] * e
-            parts = []
-            for j, f in enumerate(self.space.factors):
-                offset = sum(g.dim for g in self.space.factors[:j])
-                block = [self._frame_o[offset + i].parts[j] for i in range(f.dim)]
-                vparts = np.tensordot(coords[:, offset:offset + f.dim],
-                                      np.stack(block), axes=(1, 0))
-                parts.append(np.stack([
-                    f.exp(self.center.parts[j], vp) for vp in vparts]))
-            self._points_cache = parts
+            self._points_cache = list(self._evaluate(self.params)[0].parts)
         return self._points_cache
 
     # -- fundamental forms ------------------------------------------------------

@@ -10,8 +10,13 @@ A `SymmetricSpace` is an ordered product of factors:
   (beta(X,Y) = 2n tr(XY) on tangents).
 
 Points and tangents are stored per factor.  All closed forms (exp, log,
-transport, exp differential) are exact up to rounding; constraint drift
-is repaired by projection after every exp.
+transport, exp differential) are exact up to rounding.  The factor
+`project_point`, `exp`, `dist`, `frame`, `to_coords`, `from_coords` and
+`bus_value` accept stacks of points, tangents or coordinates along leading
+axes, ``(..., d+1)`` hyperboloid and ``(..., n, n)`` SPD arrays.  The
+factor `exp` does not project (far out on a ray the constraint check loses
+all precision while the coordinates stay accurate); `exp_map` repairs the
+constraint drift by projecting once.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from scipy.linalg import expm_frechet
 from .errors import (ConfigError, DegeneratePlaneError, InputDomainError,
                      UnsupportedVolumeError)
 from .lie_structure import MatrixLieAlgebra, metric_scale_bound, restricted_roots
-from .numeric_kernel import spd_inv_sqrt, sym_exp
+from .numeric_kernel import _sym_stack, spd_inv_sqrt, sym_exp
 
 POINT_TOL = 1e-10
 SPD_CURVATURE_MARGIN = 0.05    # relative safety margin on the SPD kappa
@@ -71,7 +76,7 @@ class EuclideanFactor:
 
     def project_point(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,) or not math.isfinite(float(np.sum(np.abs(x)))):
+        if x.shape[-1:] != (self.dim,) or not np.isfinite(x).all():
             raise InputDomainError("invalid Euclidean point")
         return x
 
@@ -84,14 +89,14 @@ class EuclideanFactor:
     def log(self, x, y):
         return y - x
 
-    def dist(self, x, y):
-        return float(np.linalg.norm(y - x))
+    def dist(self, xs, y):
+        return np.linalg.norm(xs - y, axis=-1)
 
     def transport(self, x, y, v):
         return v
 
     def frame(self, x):
-        return [e.copy() for e in np.eye(self.dim)]
+        return np.zeros(np.shape(x)[:-1] + (self.dim, self.dim)) + np.eye(self.dim)
 
     def to_coords(self, x, v):
         return np.asarray(v, dtype=float)
@@ -113,10 +118,7 @@ class EuclideanFactor:
 
     # Busemann closed forms -------------------------------------------------
 
-    def bus_value(self, o, v, x):
-        return -float(np.dot(v, x - o))
-
-    def bus_value_many(self, o, v, xs):
+    def bus_value(self, o, v, xs):
         return -(xs - o) @ v
 
     def bus_grad(self, o, v, x):
@@ -140,9 +142,6 @@ class EuclideanFactor:
 
     def ray_log(self, o, x, u, t):
         return (x - t * u) - o
-
-    def dist_many(self, xs, y):
-        return np.linalg.norm(xs - y, axis=-1)
 
 
 class HyperbolicFactor:
@@ -169,12 +168,12 @@ class HyperbolicFactor:
 
     def project_point(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim + 1,) or not np.all(np.isfinite(x)):
+        if x.shape[-1:] != (self.dim + 1,) or not np.isfinite(x).all():
             raise InputDomainError("invalid hyperboloid point")
         q = self.minkowski(x, x)
-        if q >= 0 or x[-1] <= 0:
+        if np.any(q >= 0) or np.any(x[..., -1] <= 0):
             raise InputDomainError("point off the future hyperboloid sheet")
-        return x / (self.kappa * np.sqrt(-q))
+        return x / (self.kappa * np.sqrt(-q))[..., None]
 
     def inner(self, x, u, v):
         return float(self.minkowski(u, v))
@@ -184,26 +183,10 @@ class HyperbolicFactor:
             raise InputDomainError("tangent not Minkowski-orthogonal to base point")
 
     def exp(self, x, v):
-        k = self.kappa
-        t = math.sqrt(max(self.minkowski(v, v), 0.0))
-        if t < 1e-300:
-            return x.copy()
-        y = math.cosh(k * t) * x + (math.sinh(k * t) / (k * t)) * v
-        return self.project_point(y)
-
-    def exp_raw(self, x, v):
-        """exp without the constraint repair/check.
-
-        Far out on a ray the quadratic-form check loses all precision
-        (terms of size e^{2 kappa t}) although the coordinates themselves
-        stay accurate to relative rounding; asymptotic-ray evaluation
-        uses this path.
-        """
-        k = self.kappa
-        t = math.sqrt(max(self.minkowski(v, v), 0.0))
-        if t < 1e-300:
-            return x.copy()
-        return math.cosh(k * t) * x + (math.sinh(k * t) / (k * t)) * v
+        kt = self.kappa * np.sqrt(np.maximum(self.minkowski(v, v), 0.0))[..., None]
+        moving = kt > 0.0
+        shc = np.where(moving, np.sinh(kt) / np.where(moving, kt, 1.0), 1.0)
+        return np.cosh(kt) * x + shc * v
 
     def log(self, x, y):
         k = self.kappa
@@ -214,11 +197,7 @@ class HyperbolicFactor:
         u = (y - z * x) * (k / math.sinh(k * d))
         return d * u
 
-    def dist(self, x, y):
-        z = max(-self.kappa ** 2 * self.minkowski(x, y), 1.0)
-        return math.acosh(z) / self.kappa
-
-    def dist_many(self, xs, y):
+    def dist(self, xs, y):
         z = np.maximum(-self.kappa ** 2 * self.minkowski(xs, y), 1.0)
         return np.arccosh(z) / self.kappa
 
@@ -228,24 +207,25 @@ class HyperbolicFactor:
         return v + (k2 * self.minkowski(y, v) / denom) * (x + y)
 
     def frame(self, x):
-        k2 = self.kappa ** 2
-        frame = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim + 1)
-            e[i] = 1.0
-            w = e + k2 * self.minkowski(x, e) * x
-            for f in frame:
-                w = w - self.minkowski(f, w) * f
-            nrm = math.sqrt(self.minkowski(w, w))
-            frame.append(w / nrm)
-        return frame
+        """Frame rows (..., dim, dim+1): the boost of the standard basis.
+
+        With y = kappa x[:-1] and t = kappa x[-1] the boost taking the
+        origin to x has columns [I + y y^T / (1 + t) | y] over [y^T | t];
+        its first dim columns are Minkowski-orthonormal and tangent at x,
+        and at the origin they are the standard basis.
+        """
+        y = self.kappa * x[..., :-1]
+        t = self.kappa * x[..., -1:]
+        boost = y[..., :, None] * (y / (1.0 + t))[..., None, :]
+        return np.concatenate([np.eye(self.dim) + boost, y[..., :, None]],
+                              axis=-1)
 
     def to_coords(self, x, v):
-        f = np.stack(self.frame(x))
-        return f[:, :-1] @ v[:-1] - f[:, -1] * v[-1]
+        return self.minkowski(self.frame(x), v[..., None, :])
 
     def from_coords(self, x, c):
-        return np.asarray(c, dtype=float) @ np.stack(self.frame(x))
+        c = np.asarray(c, dtype=float)
+        return np.sum(c[..., :, None] * self.frame(x), axis=-2)
 
     def dexp(self, x, v, w):
         """d/ds exp_x(v + s w) at s = 0 (closed form, stable near v = 0)."""
@@ -275,12 +255,7 @@ class HyperbolicFactor:
 
     # Busemann closed forms (ideal point p = o + v/kappa, Q(p,p) = 0) -------
 
-    def bus_value(self, o, v, x):
-        k = self.kappa
-        p = o + v / k
-        return math.log(-k * k * self.minkowski(x, p)) / k
-
-    def bus_value_many(self, o, v, xs):
+    def bus_value(self, o, v, xs):
         k = self.kappa
         p = o + v / k
         return np.log(-k * k * self.minkowski(xs, p)) / k
@@ -323,7 +298,7 @@ class HyperbolicFactor:
         return 300.0 / self.kappa
 
     def ray_log(self, o, x, u, t):
-        return self.log(o, self.exp_raw(x, -t * u))
+        return self.log(o, self.exp(x, -t * u))
 
 
 class SPDFactor:
@@ -343,8 +318,9 @@ class SPDFactor:
         self.dim = n * (n + 1) // 2 - 1
         # g-orthonormal frame of the tangent space at the identity: the
         # beta_theta-orthonormal basis of p, rescaled for g = lam * beta
-        self._frame_identity = [2.0 * m / math.sqrt(self.lam)
-                                for m in self.algebra.p_basis_matrices()]
+        self._frame_identity = np.stack([
+            2.0 * m / math.sqrt(self.lam)
+            for m in self.algebra.p_basis_matrices()])
         self._p_dim = self.algebra.p_dim
 
     def spec(self):
@@ -355,14 +331,13 @@ class SPDFactor:
 
     def project_point(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n, self.n) or not np.all(np.isfinite(x)):
+        if x.shape[-2:] != (self.n, self.n) or not np.isfinite(x).all():
             raise InputDomainError("invalid SPD point")
-        x = 0.5 * (x + x.T)
+        x = _sym_stack(x)
         w = np.linalg.eigvalsh(x)
-        if w[0] <= 0:
+        if np.any(w[..., 0] <= 0):
             raise InputDomainError("point is not positive definite")
-        det = float(np.prod(w))
-        return x / det ** (1.0 / self.n)
+        return x / (np.prod(w, axis=-1) ** (1.0 / self.n))[..., None, None]
 
     def metric_coef(self) -> float:
         """g(u, v) = metric_coef * tr(x^-1 u x^-1 v).
@@ -387,13 +362,7 @@ class SPDFactor:
 
     def exp(self, x, v):
         xs, xsi = spd_inv_sqrt(x)
-        y = xs @ sym_exp(xsi @ v @ xsi) @ xs
-        return self.project_point(y)
-
-    def exp_raw(self, x, v):
-        xs, xsi = spd_inv_sqrt(x)
-        y = xs @ sym_exp(xsi @ v @ xsi) @ xs
-        return 0.5 * (y + y.T)
+        return _sym_stack(xs @ sym_exp(xsi @ v @ xsi) @ xs)
 
     def log(self, x, y):
         xs, xsi = spd_inv_sqrt(x)
@@ -402,17 +371,9 @@ class SPDFactor:
         l = (q * np.log(w)) @ q.T
         return xs @ l @ xs
 
-    def dist(self, x, y):
-        xs, xsi = spd_inv_sqrt(x)
-        m = xsi @ y @ xsi
-        w = np.linalg.eigvalsh(0.5 * (m + m.T))
-        return math.sqrt(self.metric_coef()) * float(np.linalg.norm(np.log(w)))
-
-    def dist_many(self, xs_stack, y):
-        ys, ysi = spd_inv_sqrt(y)
-        m = ysi @ xs_stack @ ysi
-        m = 0.5 * (m + np.swapaxes(m, -1, -2))
-        w = np.linalg.eigvalsh(m)
+    def dist(self, xs, y):
+        _, ysi = spd_inv_sqrt(y)
+        w = np.linalg.eigvalsh(_sym_stack(ysi @ xs @ ysi))
         return math.sqrt(self.metric_coef()) * np.linalg.norm(np.log(w), axis=-1)
 
     def transport(self, x, y, v):
@@ -424,18 +385,18 @@ class SPDFactor:
         return e @ v @ e.T
 
     def frame(self, x):
-        xs, _ = spd_inv_sqrt(x)
-        return [xs @ f @ xs for f in self._frame_identity]
+        """Frame (..., dim, n, n): the identity frame pushed forward to x."""
+        xs = spd_inv_sqrt(x)[0][..., None, :, :]
+        return xs @ self._frame_identity @ xs
 
     def to_coords(self, x, v):
         xi = np.linalg.inv(x)
-        m = xi @ v @ xi
-        return self.metric_coef() * np.tensordot(
-            np.stack(self.frame(x)), m, axes=2)
+        m = (xi @ v @ xi)[..., None, :, :]
+        return self.metric_coef() * np.sum(self.frame(x) * m, axis=(-2, -1))
 
     def from_coords(self, x, c):
-        return np.tensordot(np.asarray(c, dtype=float),
-                            np.stack(self.frame(x)), axes=1)
+        c = np.asarray(c, dtype=float)
+        return np.sum(c[..., :, None, None] * self.frame(x), axis=-3)
 
     def dexp(self, x, v, w):
         xs, xsi = spd_inv_sqrt(x)
@@ -470,20 +431,10 @@ class SPDFactor:
         breaks = [i for i in range(self.n - 1) if delta[i] - delta[i + 1] > 1e-12]
         return osq, osi, delta, k, breaks
 
-    def bus_value(self, o, v, x):
+    def bus_value(self, o, v, xs):
         osq, osi, delta, k, breaks = self._direction_data(o, v)
-        x0 = osi @ x @ osi
+        x0 = osi @ xs @ osi
         s = k.T @ np.linalg.inv(x0) @ k
-        total = 0.0
-        for i in breaks:
-            sign, logdet = np.linalg.slogdet(s[:i + 1, :i + 1])
-            total += (delta[i] - delta[i + 1]) * logdet
-        return self.metric_coef() * total
-
-    def bus_value_many(self, o, v, xs_stack):
-        osq, osi, delta, k, breaks = self._direction_data(o, v)
-        x0 = osi @ xs_stack @ osi
-        s = np.einsum("ij,...jk,kl->...il", k.T, np.linalg.inv(x0), k)
         total = np.zeros(s.shape[:-2])
         for i in breaks:
             _, logdet = np.linalg.slogdet(s[..., :i + 1, :i + 1])
@@ -585,7 +536,7 @@ class SPDFactor:
         dvals, k = np.linalg.eigh(0.5 * (w + w.T))
         spread = t * float(dvals[-1] - dvals[0])
         if spread <= 25.0:
-            return self.log(o, self.exp_raw(x, -t * u))
+            return self.log(o, self.exp(x, -t * u))
         import mpmath as mp
         b = osi @ xs @ k
         with mp.workdps(int(spread / math.log(10.0)) + 30):
@@ -663,10 +614,14 @@ class SymmetricSpace:
         return Point(self, tuple(f.origin() for f in self.factors))
 
     def point(self, parts) -> Point:
-        parts = tuple(f.project_point(p) for f, p in zip(self.factors, parts))
-        if len(parts) != len(self.factors):
-            raise InputDomainError("wrong number of factor components")
-        return Point(self, parts)
+        """Validated single point; factor stacks are rejected."""
+        parts = tuple(np.asarray(p, dtype=float) for p in parts)
+        shapes = [p.shape for p in parts]
+        if shapes != [f.origin().shape for f in self.factors]:
+            raise InputDomainError(f"point parts of shapes {shapes} do not "
+                                   f"match the factors of {self.spec_string()}")
+        return Point(self, tuple(f.project_point(p)
+                                 for f, p in zip(self.factors, parts)))
 
     def tangent(self, base: Point, parts) -> Tangent:
         parts = tuple(np.asarray(p, dtype=float) for p in parts)
@@ -693,6 +648,7 @@ class SymmetricSpace:
     # -- geodesic calculus ----------------------------------------------------
 
     def exp_map(self, x: Point, v: Tangent) -> Point:
+        """exp_x(v), projected once; tangent parts may be stacks."""
         return Point(self, tuple(
             f.project_point(f.exp(xp, vp))
             for f, xp, vp in zip(self.factors, x.parts, v.parts)))
@@ -702,17 +658,12 @@ class SymmetricSpace:
             f.log(xp, yp) for f, xp, yp in zip(self.factors, x.parts, y.parts)))
 
     def distance(self, x: Point, y: Point) -> float:
-        return math.sqrt(sum(
-            f.dist(xp, yp) ** 2
-            for f, xp, yp in zip(self.factors, x.parts, y.parts)))
+        return float(self.distance_many(x.parts, y))
 
     def distance_many(self, parts_stacks, y: Point):
         """Distances from a stack of points (list of stacked factor arrays)."""
-        total = None
-        for f, xs, yp in zip(self.factors, parts_stacks, y.parts):
-            d = f.dist_many(xs, yp) ** 2
-            total = d if total is None else total + d
-        return np.sqrt(total)
+        return np.sqrt(sum(f.dist(xs, yp) ** 2 for f, xs, yp
+                           in zip(self.factors, parts_stacks, y.parts)))
 
     def parallel_transport(self, x: Point, y: Point, v: Tangent) -> Tangent:
         return Tangent(self, y, tuple(
@@ -730,29 +681,24 @@ class SymmetricSpace:
 
     def frame_at(self, x: Point):
         """Deterministic orthonormal frame of T_xN, factor blocks in order."""
-        frame = []
-        for i, (f, xp) in enumerate(zip(self.factors, x.parts)):
-            for fv in f.frame(xp):
-                parts = [np.zeros_like(p) if j != i else fv
-                         for j, p in enumerate(x.parts)]
-                frame.append(Tangent(self, x, tuple(parts)))
-        return frame
+        return [self.coords_to_tangent(x, e) for e in np.eye(self.total_dim)]
 
     def tangent_to_coords(self, v: Tangent) -> np.ndarray:
         if len(self.factors) == 1:
             return np.atleast_1d(
                 self.factors[0].to_coords(v.base.parts[0], v.parts[0]))
         return np.concatenate([
-            np.atleast_1d(f.to_coords(xp, vp))
-            for f, xp, vp in zip(self.factors, v.base.parts, v.parts)])
+            f.to_coords(xp, vp)
+            for f, xp, vp in zip(self.factors, v.base.parts, v.parts)], axis=-1)
 
     def coords_to_tangent(self, x: Point, c) -> Tangent:
+        """Tangent at x from frame coordinates c, or from a (..., dim) stack."""
         c = np.asarray(c, dtype=float)
         if len(self.factors) == 1:
             return Tangent(self, x, (self.factors[0].from_coords(x.parts[0], c),))
         parts, k = [], 0
         for f, xp in zip(self.factors, x.parts):
-            parts.append(f.from_coords(xp, c[k:k + f.dim]))
+            parts.append(f.from_coords(xp, c[..., k:k + f.dim]))
             k += f.dim
         return Tangent(self, x, tuple(parts))
 

@@ -25,11 +25,9 @@ class SymMatrix:
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim != 2:
             raise InputDomainError(f"expected a square array, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InputDomainError("matrix has non-finite entries")
-        self.a = 0.5 * (a + a.T)
+        self.a = _sym_stack(a)
 
     @property
     def dim(self) -> int:
@@ -40,6 +38,16 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix({self.a!r})"
+
+
+def _sym_stack(m) -> np.ndarray:
+    """Exactly symmetrized float array of square matrices, shape (..., n, n)."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InputDomainError(f"expected a square array, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputDomainError("matrix has non-finite entries")
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _as_sym_array(m) -> np.ndarray:
@@ -95,23 +103,24 @@ def mat_log_spd(m) -> np.ndarray:
 
 
 def sym_exp(m) -> np.ndarray:
-    """Exponential of a symmetric matrix via its eigendecomposition.
+    """Exponential of a symmetric matrix, or a (..., n, n) stack of them.
 
-    Cheaper and exactly symmetric, used on geodesic hot paths.
+    Via the eigendecomposition: cheaper than expm and used on geodesic hot
+    paths.
     """
-    a = _as_sym_array(m)
-    w, q = np.linalg.eigh(a)
-    return (q * np.exp(w)) @ q.T
+    w, q = np.linalg.eigh(_sym_stack(m))
+    return (q * np.exp(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def spd_inv_sqrt(m):
-    """(sqrt(P), sqrt(P)^-1) for SPD P, from one eigendecomposition."""
-    a = _as_sym_array(m)
-    w, q = np.linalg.eigh(a)
-    if w.size and w[0] <= 0.0:
-        raise InputDomainError(f"matrix is not positive definite (min eig {w[0]:.3e})")
-    s = np.sqrt(w)
-    return (q * s) @ q.T, (q / s) @ q.T
+    """(sqrt(P), sqrt(P)^-1) for SPD P, or a (..., n, n) stack, from one eigh."""
+    w, q = np.linalg.eigh(_sym_stack(m))
+    if w.size and np.min(w[..., 0]) <= 0.0:
+        raise InputDomainError(
+            f"matrix is not positive definite (min eig {np.min(w[..., 0]):.3e})")
+    s = np.sqrt(w)[..., None, :]
+    qt = np.swapaxes(q, -1, -2)
+    return (q * s) @ qt, (q / s) @ qt
 
 
 class LadderResult(NamedTuple):

@@ -332,6 +332,8 @@ def contact_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     Every direction must be matched (S_M residual <= 1e-3 at its contact
     point) and the supporting eigenvalue floors must hold there.
     """
+    if sweep_count < 1:
+        raise InputDomainError("the contact sweep needs sweep_count >= 1")
     t0 = time.perf_counter()
     worst_resid = 0.0
     worst_support = math.inf
@@ -398,7 +400,10 @@ def total_curvature_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     The sweep asserts every sampled direction v has a contact node whose
     Busemann gradient matches the outward normal to 1e-3 -- the sampled
     form of "the Gauss map covers the sphere from the contact set".
+    A sweep of no directions covers nothing and is an input error.
     """
+    if sweep_count < 1:
+        raise InputDomainError("the coverage sweep needs sweep_count >= 1")
     t0 = time.perf_counter()
     space = M.space
     n = M.n
@@ -408,8 +413,7 @@ def total_curvature_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     rhs = math.exp(-n * (n + 1) * kappa * d) * sphere_area(n)
     sweep_failures = 0
     worst_resid = 0.0
-    for v in sweep_directions(space, o, sweep_count, seed):
-        rec = first_contact(M, o, v)
+    for rec in contact_sweep(M, o, sweep_count, seed):
         resid = min(cn.s_residual for cn in rec.nodes)
         worst_resid = max(worst_resid, resid)
         if resid > RESID_TOL:

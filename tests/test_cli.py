@@ -72,6 +72,38 @@ def test_sweep_subcommand_csv(capsys):
     assert len(lines) == 4
 
 
+_SWEEP = ["sweep", "--space", "euclidean:3", "--surface",
+          "geodesic-sphere:r=1", "--grid", "12x24", "--count", "3"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_format(capsys, fmt):
+    # CSV stays the default byte for byte; JSON carries the same columns
+    assert main(_SWEEP) == 0
+    default = capsys.readouterr().out
+    assert main(_SWEEP + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert out == default
+        return
+    header, *lines = default.strip().splitlines()
+    records = json.loads(out)
+    assert len(records) == len(lines) == 3
+    for rec, line in zip(records, lines):
+        assert list(rec) == header.split(",")
+        for value, field in zip(rec.values(), line.split(",")):
+            assert value == (None if field == "" else float(field))
+    assert records[0]["jacobian"] is None
+
+
+@pytest.mark.parametrize("check", ["contact", "total-curvature"])
+def test_empty_sweep_exit_two(capsys, check):
+    rc = main(["verify", check, "--space", "euclidean:3", "--grid", "6x12",
+               "--sweep-count", "0"])
+    assert rc == 2
+    assert "sweep_count >= 1" in capsys.readouterr().err
+
+
 def test_reports_byte_stable_modulo_runtime():
     cfg = SuiteConfig(checks=["det-audit", "sqrt-audit"], samples=50, seed=3)
     a = render_reports(run_suite(cfg), "json")

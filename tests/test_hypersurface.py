@@ -180,3 +180,21 @@ def test_grid_spec_round_trip(e3):
     space = parse_space("spd:3")
     Mh = geodesic_sphere(space, space.origin(), 0.5, [4] * 4)
     assert parse_grid(Mh.grid_spec(), 4) == [4] * 4
+
+
+@pytest.mark.parametrize("spec,surface,grid", [
+    ("hyperbolic:3,kappa=1", "radial-graph:base=1,mode=latitude,amp=0.2",
+     [8, 16]),
+    ("spd:3", "geodesic-sphere:r=0.5", [3] * 4),
+], ids=["h3-graph", "spd3-sphere"])
+def test_point_evaluators_agree(spec, surface, grid):
+    # embed and chart take the single-parameter branch of the direction map,
+    # points_stack the stacked one; all three give the same surface point
+    space = parse_space(spec)
+    M = Hypersurface(space, space.origin(), parse_surface(surface), grid)
+    stacks = M.points_stack()
+    for i, p in enumerate(M.params):
+        for x in (M.embed(p), M.chart(p)["x"]):
+            for part, stack in zip(x.parts, stacks):
+                assert part.shape == stack[i].shape
+                assert np.max(np.abs(part - stack[i])) <= 1e-14

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from horocurv.errors import ConfigError
+from horocurv.errors import ConfigError, InputDomainError
 from horocurv.lie_structure import algebraic_sectional_curvature
 from horocurv.model_spaces import SPD_CURVATURE_MARGIN, parse_space
 
@@ -165,3 +165,32 @@ def test_spd_lambda_scaling():
 def test_constant_curvature_only_flag():
     assert parse_space("euclidean:2xhyperbolic:2").constant_curvature_only()
     assert not parse_space("spd:2xeuclidean:1").constant_curvature_only()
+
+
+_H0 = np.array([0.0, 0.0, 1.0])
+_S0 = np.eye(2)
+
+
+def test_point_projects_single_points():
+    space = parse_space("hyperbolic:2,kappa=1xspd:2")
+    x = space.point((np.array([0.3, 0.0, 2.0]), 2.0 * _S0))
+    assert abs(space.factors[0].minkowski(x.parts[0], x.parts[0]) + 1.0) < 1e-12
+    assert abs(np.linalg.det(x.parts[1]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("parts", [
+    (np.stack([_H0, _H0]), _S0),
+    (_H0, np.stack([_S0, _S0])),
+    (_H0[:-1], _S0),
+    (_H0, np.eye(3)),
+    (_H0,),
+    (np.array([2.0, 0.0, 1.0]), _S0),
+    (np.array([0.0, 0.0, -1.0]), _S0),
+    (_H0, np.diag([1.0, -1.0])),
+], ids=["stacked-hyperboloid", "stacked-spd", "hyperboloid-shape", "spd-shape",
+        "missing-factor", "spacelike", "past-sheet", "not-positive-definite"])
+def test_point_rejects_invalid_parts(parts):
+    # project_point accepts stacks; SymmetricSpace.point must still take
+    # exactly one valid point per factor
+    with pytest.raises(InputDomainError):
+        parse_space("hyperbolic:2,kappa=1xspd:2").point(parts)

@@ -1,0 +1,133 @@
+"""Property tests: stacked factor operations equal their per-point results.
+
+Every factor operation that accepts stacks (project_point, exp, dist,
+bus_value, frame, to_coords, from_coords) is run on random stacks of 1-8
+points and compared with the same call point by point.  Examples are
+derandomized so the suite stays deterministic.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from horocurv.busemann import BusemannFunction  # noqa: E402
+from horocurv.model_spaces import parse_space  # noqa: E402
+
+SPECS = ["euclidean:3", "hyperbolic:3,kappa=1.5", "spd:3",
+         "euclidean:1xhyperbolic:2,kappa=0.8xspd:2"]
+REL = 1e-12
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+
+_SPACES = {spec: parse_space(spec) for spec in SPECS}
+_COORD = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def _close(stacked, single):
+    single = np.asarray(single, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(single))))
+    assert np.max(np.abs(np.asarray(stacked) - single)) <= REL * scale
+
+
+@st.composite
+def _setups(draw):
+    """(space, base coords (dim,), tangent coords (k, dim), ray coords (dim,))."""
+    space = _SPACES[draw(st.sampled_from(SPECS))]
+    dim = space.total_dim
+    k = draw(st.integers(1, 8))
+    return (space, draw(arrays(float, dim, elements=_COORD)),
+            draw(arrays(float, (k, dim), elements=_COORD)),
+            draw(arrays(float, dim, elements=_COORD)))
+
+
+def _points(space, c):
+    """Points exp_o(c) for a coordinate stack c (..., dim): factor stacks."""
+    o = space.origin()
+    return space.exp_map(o, space.coords_to_tangent(o, c))
+
+
+@PROPERTY
+@given(_setups())
+def test_space_stack_matches_points(setup):
+    space, c0, cs, cv = setup
+    x = _points(space, c0)
+    xs = _points(space, cs)
+    vs = space.coords_to_tangent(x, cs)
+    ys = space.exp_map(x, vs)
+    back = space.tangent_to_coords(vs)
+    o = space.origin()
+    v = space.coords_to_tangent(o, cv)
+    nrm = space.norm(v)
+    bus = (BusemannFunction(space, o, space.scale(v, 1.0 / nrm))
+           if nrm > 1e-3 else None)
+    dists = space.distance_many(xs.parts, x)
+    values = bus.value_many(xs.parts) if bus else None
+    for i, ci in enumerate(cs):
+        xi = _points(space, ci)
+        vi = space.coords_to_tangent(x, ci)
+        for a, b in zip(xs.parts, xi.parts):
+            _close(a[i], b)
+        for a, b in zip(vs.parts, vi.parts):
+            _close(a[i], b)
+        for a, b in zip(ys.parts, space.exp_map(x, vi).parts):
+            _close(a[i], b)
+        _close(back[i], space.tangent_to_coords(vi))
+        _close(dists[i], space.distance(xi, x))
+        if bus:
+            _close(values[i], bus.value(xi))
+
+
+@PROPERTY
+@given(_setups())
+def test_factor_stacks_over_base_points(setup):
+    # stacked base points as well as stacked tangents and coordinates
+    space, _, cs, cv = setup
+    xs = _points(space, cs)
+    k = len(cs)
+    pos = 0
+    for f, xf, of in zip(space.factors, xs.parts, space.origin().parts):
+        cf = cs[:, pos:pos + f.dim][::-1].copy()
+        u = f.from_coords(of, cv[pos:pos + f.dim])
+        pos += f.dim
+        vf = f.from_coords(xf, cf)
+        yf = f.project_point(f.exp(xf, vf))
+        frames = f.frame(xf)
+        coords = f.to_coords(xf, vf)
+        dists = f.dist(xf, xf[0])
+        nrm = np.sqrt(max(f.inner(of, u, u), 0.0))
+        values = f.bus_value(of, u / nrm, xf) if nrm > 1e-3 else None
+        for i in range(k):
+            vi = f.from_coords(xf[i], cf[i])
+            _close(vf[i], vi)
+            _close(yf[i], f.project_point(f.exp(xf[i], vi)))
+            _close(frames[i], f.frame(xf[i]))
+            _close(coords[i], f.to_coords(xf[i], vi))
+            _close(coords[i], cf[i])
+            _close(dists[i], f.dist(xf[i], xf[0]))
+            if values is not None:
+                _close(values[i], f.bus_value(of, u / nrm, xf[i]))
+
+
+@PROPERTY
+@given(st.sampled_from(["hyperbolic:3,kappa=1", "hyperbolic:2,kappa=0.5"]),
+       arrays(float, (8, 3), elements=_COORD), st.floats(0.0, 10.0))
+def test_hyperbolic_frame_boost_orthonormal(spec, dirs, dist):
+    # the closed-form boost frame is Minkowski-orthonormal and tangent up to
+    # distance 10; raw coordinates there are ~cosh(10) ~ 1e4, so residuals
+    # are measured against the size of the vectors paired
+    space = parse_space(spec)
+    f = space.factors[0]
+    c = dirs[:, :f.dim]
+    nrm = np.linalg.norm(c, axis=-1, keepdims=True)
+    c = np.where(nrm > 1e-6, c / np.maximum(nrm, 1e-6), np.eye(f.dim)[0])
+    xs = _points(space, dist * c).parts[0]
+    frames = f.frame(xs)
+    gram = f.minkowski(frames[..., :, None, :], frames[..., None, :, :])
+    size = np.linalg.norm(frames, axis=-1)
+    scale = 1.0 + size[..., :, None] * size[..., None, :]
+    assert np.max(np.abs(gram - np.eye(f.dim)) / scale) <= 1e-10
+    tangency = f.minkowski(frames, xs[..., None, :])
+    assert np.max(np.abs(tangency)
+                  / (size * np.linalg.norm(xs, axis=-1)[..., None])) <= 1e-10

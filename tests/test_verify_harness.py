@@ -242,5 +242,13 @@ def test_jacobian_sweep_fails_when_nothing_measured(e3, monkeypatch):
     assert not rep.passed
     assert rep.details["measured"] == 0
     assert rep.details["stencil_excluded"] == 3
+
+
+@pytest.mark.parametrize("check", [vh.jacobian_sweep_check, vh.contact_check,
+                                   vh.total_curvature_check],
+                         ids=["jacobian", "contact", "total-curvature"])
+def test_empty_sweep_is_input_error(e3, check):
+    # a sweep of no directions proves nothing: rejected, not passed
+    M = geodesic_sphere(e3, e3.origin(), 1.0, [12, 24])
     with pytest.raises(InputDomainError):
-        vh.jacobian_sweep_check(M, e3.origin(), sweep_count=0)
+        check(M, e3.origin(), sweep_count=0)
