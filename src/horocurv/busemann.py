@@ -12,7 +12,9 @@ Closed forms per factor:
 
 For a product direction v = sum_f c_f v_f (v_f factor-unit, sum c_f^2 = 1)
 the value is sum_f c_f B_{v_f}(x_f) and the Hessian is block diagonal with
-weights c_f.
+weights c_f.  Each factor's direction data (`bus_data`: the ideal point of
+a hyperbolic direction, the translated and diagonalized SPD direction) is
+computed once, when the function is built.
 
 Every closed form is cross-validated in the test suite against
 `truncated_oracle`, which only uses distances along the defining ray
@@ -49,15 +51,15 @@ class BusemannFunction:
         self.o = o
         self.v = v
         self.weights = []
-        self.unit_dirs = []
+        self.data = []           # factor direction data, None if weight 0
         for f, op, vp in zip(space.factors, o.parts, v.parts):
             c = math.sqrt(max(f.inner(op, vp, vp), 0.0))
             if c > _WEIGHT_EPS:
                 self.weights.append(c)
-                self.unit_dirs.append(vp / c)
+                self.data.append(f.bus_data(op, vp / c))
             else:
                 self.weights.append(0.0)
-                self.unit_dirs.append(None)
+                self.data.append(None)
 
     # -- closed forms ---------------------------------------------------------
 
@@ -67,17 +69,16 @@ class BusemannFunction:
     def value_many(self, parts_stacks) -> np.ndarray:
         """Vectorized value over a stack of points (list of factor stacks)."""
         return np.asarray(sum(
-            c * f.bus_value(op, vhat, xs)
-            for f, op, xs, c, vhat in zip(self.space.factors, self.o.parts,
-                                          parts_stacks, self.weights,
-                                          self.unit_dirs) if c > 0.0))
+            c * f.bus_value(data, xs)
+            for f, xs, c, data in zip(self.space.factors, parts_stacks,
+                                      self.weights, self.data) if c > 0.0))
 
     def gradient(self, x: Point) -> Tangent:
         parts = []
-        for f, op, xp, c, vhat in zip(self.space.factors, self.o.parts, x.parts,
-                                      self.weights, self.unit_dirs):
+        for f, xp, c, data in zip(self.space.factors, x.parts, self.weights,
+                                  self.data):
             if c > 0.0:
-                parts.append(c * f.bus_grad(op, vhat, xp))
+                parts.append(c * f.bus_grad(data, xp))
             else:
                 parts.append(np.zeros_like(np.asarray(xp, dtype=float)))
         return Tangent(self.space, x, tuple(parts))
@@ -85,16 +86,16 @@ class BusemannFunction:
     def hessian(self, x: Point) -> SymMatrix:
         """Hessian as a matrix in frame_at(x) coordinates (block diagonal)."""
         blocks = []
-        for f, op, xp, c, vhat in zip(self.space.factors, self.o.parts, x.parts,
-                                      self.weights, self.unit_dirs):
+        for f, xp, c, data in zip(self.space.factors, x.parts, self.weights,
+                                  self.data):
             if c == 0.0 or f.kind == "euclidean":
                 blocks.append(np.zeros((f.dim, f.dim)))
                 continue
             if f.kind == "hyperbolic":
-                g_coords = f.to_coords(xp, f.bus_grad(op, vhat, xp))
+                g_coords = f.to_coords(xp, f.bus_grad(data, xp))
                 blocks.append(c * f.kappa * (np.eye(f.dim) - np.outer(g_coords, g_coords)))
             else:  # spd
-                grad = f.bus_grad(op, vhat, xp)
+                grad = f.bus_grad(data, xp)
                 xs, xsi = spd_inv_sqrt(xp)
                 u0 = xsi @ grad @ xsi
                 blocks.append(c * f.hess_matrix_identity_frame(0.5 * (u0 + u0.T)))
@@ -106,10 +107,10 @@ class BusemannFunction:
         """d(x, gamma_v(t)) - t, assembled from overflow-safe factor distances."""
         lin = 0.0      # 2 T sum_f c_f r_f  pieces, see below
         quad = 0.0
-        for f, op, xp, c, vhat in zip(self.space.factors, self.o.parts, x.parts,
-                                      self.weights, self.unit_dirs):
+        for f, op, xp, c, data in zip(self.space.factors, self.o.parts,
+                                      x.parts, self.weights, self.data):
             if c > 0.0:
-                r = f.bus_trunc_value(op, vhat, xp, c * t)
+                r = f.bus_trunc_value(data, xp, c * t)
                 lin += c * r
                 quad += (c * t + r) ** 2 - (c * t) ** 2 - 2.0 * c * t * r  # r^2, stably
             else:

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import verify_harness as vh
 from .errors import HorocurvError
@@ -31,6 +31,7 @@ CHECK_NAMES = ("hessian-oracle", "hessian-bounds", "lipschitz",
                "willmore", "isoperimetric", "det-audit", "sqrt-audit")
 SURFACE_CHECKS = {"gauss-consistency", "contact", "jacobian",
                   "total-curvature", "willmore"}
+SWEEP_FORMAT = "csv"           # default report format of `sweep`
 
 
 @dataclass
@@ -59,8 +60,12 @@ class SuiteConfig:
         return "\n".join(lines) + "\n"
 
 
-def parse_config_text(text: str) -> SuiteConfig:
-    """Parse the `key = value` config file format (see SuiteConfig.to_text)."""
+def parse_config_text(text: str, defaults: SuiteConfig | None = None
+                      ) -> SuiteConfig:
+    """Parse the `key = value` config file format (see SuiteConfig.to_text).
+
+    Keys the file leaves out keep their values in `defaults`.
+    """
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -73,7 +78,8 @@ def parse_config_text(text: str) -> SuiteConfig:
             raw["checks"] = val.split()
         else:
             raw[key] = val
-    cfg = SuiteConfig(checks=raw.pop("checks", []))
+    cfg = replace(defaults or SuiteConfig(checks=[]),
+                  checks=raw.pop("checks", []))
     for f in fields(SuiteConfig):
         if f.name in raw:
             v = raw.pop(f.name)
@@ -222,22 +228,25 @@ def render_sweep_json(records) -> str:
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--space", default="", help="space spec, e.g. "
+    # the options of SuiteConfig are absent unless given (its fields hold the
+    # defaults), so a flag wins over --config even when it repeats a default
+    unset = argparse.SUPPRESS
+    p.add_argument("--space", default=unset, help="space spec, e.g. "
                    "hyperbolic:3,kappa=1 or spd:3xeuclidean:2")
-    p.add_argument("--surface", default="",
+    p.add_argument("--surface", default=unset,
                    help="geodesic-sphere:r=R or "
                         "radial-graph:base=R,mode=M,amp=A")
-    p.add_argument("--grid", default="", help="LATxLON (n=2) or K^N (n>=3)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--grid", default=unset, help="LATxLON (n=2) or K^N (n>=3)")
+    p.add_argument("--seed", type=int, default=unset)
+    p.add_argument("--samples", type=int, default=unset,
                    help="sample count for sampled checks (0 = default)")
-    p.add_argument("--sweep-count", type=int, default=vh.SWEEP_COUNT)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=0,
+    p.add_argument("--sweep-count", type=int, default=unset)
+    p.add_argument("--radius", type=float, default=unset)
+    p.add_argument("--dim", type=int, default=unset,
                    help="matrix dimension for audits (0 = default)")
-    p.add_argument("--min-nodes", type=int, default=1000)
-    p.add_argument("--output", default="", help="report path ('-' = stdout)")
-    p.add_argument("--format", default="json", choices=("json", "csv"))
+    p.add_argument("--min-nodes", type=int, default=unset)
+    p.add_argument("--output", default=unset, help="report path ('-' = stdout)")
+    p.add_argument("--format", default=unset, choices=("json", "csv"))
     p.add_argument("--config", default="", help="key = value config file")
 
 
@@ -261,24 +270,21 @@ def build_parser():
     ps.add_argument("--jacobian", action="store_true",
                     help="also measure the Gauss-map Jacobian per direction")
     _add_common(ps)
-    ps.set_defaults(format="csv")
     return ap
 
 
 def config_from_args(args) -> SuiteConfig:
-    cfg = SuiteConfig(checks=list(getattr(args, "checks", []) or []))
+    """The run configuration: the --config file if any, flags win over it."""
+    cfg = SuiteConfig(checks=[], format=SWEEP_FORMAT
+                      if args.command == "sweep" else "json")
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read())
-        if getattr(args, "checks", None):
-            cfg.checks = list(args.checks)
-    defaults = SuiteConfig(checks=[])
-    for name in ("space", "surface", "grid", "seed", "samples",
-                 "sweep_count", "radius", "dim", "min_nodes", "output",
-                 "format"):
-        arg = getattr(args, name)
-        if arg != getattr(defaults, name) or not args.config:
-            setattr(cfg, name, arg)
+            cfg = parse_config_text(fh.read(), cfg)
+    if getattr(args, "checks", None):
+        cfg.checks = list(args.checks)
+    for f in fields(SuiteConfig):
+        if f.name != "checks" and hasattr(args, f.name):
+            setattr(cfg, f.name, getattr(args, f.name))
     return cfg
 
 
@@ -286,20 +292,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "sweep":
-            space = parse_space(args.space)
-            o = space.origin()
-            profile = parse_surface(args.surface or "geodesic-sphere:r=1")
-            counts = (parse_grid(args.grid, space.total_dim - 1)
-                      if args.grid else None)
-            M = Hypersurface(space, o, profile, counts)
-            records = vh.contact_sweep(M, o, args.count, args.seed,
-                                       measure_jacobian=args.jacobian)
-            render = (render_sweep_csv if args.format == "csv"
-                      else render_sweep_json)
-            emit_report(render(records), args.output)
-            return 0
         cfg = config_from_args(args)
+        if args.command == "sweep":
+            _, o, M = _build_surface(cfg)
+            records = vh.contact_sweep(M, o, args.count, cfg.seed,
+                                       measure_jacobian=args.jacobian)
+            render = (render_sweep_csv if cfg.format == "csv"
+                      else render_sweep_json)
+            emit_report(render(records), cfg.output)
+            return 0
         if not cfg.checks:
             raise HorocurvError("no checks requested")
         reports = run_suite(cfg)

@@ -13,13 +13,22 @@ Poles are never grid nodes (interior Gauss-Legendre nodes, half-offset
 azimuth).  Area weights are parameter quadrature weights times the
 numerically evaluated chart Jacobian, so the same code integrates over
 round and perturbed surfaces alike.
+
+Evaluation is batched: `chart` takes a single parameter point (n,) or a
+stack (..., n) and returns stacked points, tangent frame coordinates, Gram
+matrices, Jacobians and unit normals, through the stack-capable factor
+`exp`, `dexp` and coordinate maps.  The shape operators of all grid nodes
+come from two such calls per block of nodes, one at the nodes and one at
+their 2n finite-difference stencil parameters, followed by one stacked
+parallel transport; an off-grid point is a stack of one through the same
+code.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +39,8 @@ from .numeric_kernel import SymMatrix
 
 H_SHAPE_REL = 1e-4
 _GRAM_DET_TOL = 1e-12
+_BLOCK = 256                   # grid nodes per batched chart/forms evaluation
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +207,76 @@ def parse_surface(spec: str) -> RadiusProfile:
 # fundamental data
 # ---------------------------------------------------------------------------
 
+def _take(value, idx):
+    """Index the leading (node) axes of a stacked array or Point."""
+    if isinstance(value, Point):
+        return Point(value.space, tuple(p[idx] for p in value.parts))
+    return value[idx]
+
+
+def _join(values):
+    """Concatenate stacked arrays or Points along the node axis."""
+    if isinstance(values[0], Point):
+        return Point(values[0].space, tuple(
+            np.concatenate(parts) for parts in zip(*(v.parts for v in values))))
+    return np.concatenate(values)
+
+
+def _join_forms(blocks) -> "FundamentalData":
+    return FundamentalData(**{
+        f.name: None if f.name == "node" else _join([getattr(b, f.name) for b in blocks])
+        for f in fields(FundamentalData)})
+
+
 @dataclass
 class FundamentalData:
-    """Per-node geometry: unit normal, shape operator, curvatures, weight."""
+    """Unit normal, shape operator, curvatures and area weight.
 
-    node: int
+    One class for a single node and for a stack of nodes: the array fields
+    carry the leading axes of the parameters they were evaluated at, and
+    indexing a stack gives the data of one node, with plain float scalars.
+    Coordinates are taken in the orthonormal frame at x.
+    """
+
+    node: object              # grid index, parameters, or None for a stack
     x: Point
-    nu: Tangent
-    onb: list                # orthonormal tangent basis of T_xM
-    A: SymMatrix              # shape operator in onb coordinates
-    GK: float                 # det A
-    H: float                  # tr A
-    area_weight: float
-    sym_residual: float       # ||A - A^T||_max before symmetrization
+    nu_coords: np.ndarray     # (..., n+1) unit normal
+    onb_coords: np.ndarray    # (..., n, n+1) orthonormal basis of T_xM
+    a: np.ndarray             # (..., n, n) shape operator in the onb
+    GK: object                # det A
+    H: object                 # tr A
+    area_weight: object
+    sym_residual: object      # ||A - A^T||_max before symmetrization
+
+    def __getitem__(self, i) -> "FundamentalData":
+        return FundamentalData(
+            node=i, x=_take(self.x, i), nu_coords=self.nu_coords[i],
+            onb_coords=self.onb_coords[i], a=self.a[i], GK=float(self.GK[i]),
+            H=float(self.H[i]), area_weight=float(self.area_weight[i]),
+            sym_residual=float(self.sym_residual[i]))
+
+    @property
+    def A(self) -> SymMatrix:
+        return SymMatrix(self.a)
+
+    @property
+    def nu(self) -> Tangent:
+        return self.x.space.coords_to_tangent(self.x, self.nu_coords)
+
+    @property
+    def onb(self) -> list:
+        return [self.x.space.coords_to_tangent(self.x, c)
+                for c in self.onb_coords]
 
 
 class Hypersurface:
-    """A closed starshaped hypersurface about `center` on a quadrature grid."""
+    """A closed starshaped hypersurface about `center` on a quadrature grid.
+
+    Grid quantities are evaluated as stacks, _BLOCK nodes per batched call,
+    and cached: the chart of every node (`chart_at`, `area_weights`) and
+    the fundamental data of every node (`grid_forms`, `fundamental_forms`,
+    `integrate`).
+    """
 
     def __init__(self, space: SymmetricSpace, center: Point,
                  profile: RadiusProfile, grid_counts=None):
@@ -227,9 +291,9 @@ class Hypersurface:
         (self.params, self.param_weights, self._dir_fn,
          self.axes_nodes) = build_param_grid(self.n, self.grid_counts)
         self.size = len(self.params)
-        self._cache = {}
+        self._chart_cache = None
+        self._forms_cache = None
         self._points_cache = None
-        self._area_cache = None
 
     # -- chart evaluation -----------------------------------------------------
 
@@ -252,52 +316,54 @@ class Hypersurface:
         return self.space.exp_map(self.center, v), v, e, de, r, dr
 
     def chart(self, params, orient: bool = True):
-        """Full chart data at arbitrary parameters.
+        """Chart data at parameters (n,) or at a stack (..., n).
 
-        Returns dict with x (Point), tangents (list of Tangent at x, one per
-        parameter), jacobian (sqrt Gram det), nu (unit normal).  With
-        orient=True (default) nu points along the outgoing radial direction;
-        orient=False leaves the sign arbitrary (cheaper, for finite
-        differences that fix the sign against a reference normal).
+        Returns a dict whose arrays carry the leading axes of params:
+        x (Point of factor stacks), tangents (..., n, n+1) (frame
+        coordinates at x of the parameter derivatives), gram (..., n, n),
+        jacobian (...) (sqrt Gram det) and nu (..., n+1) (frame coordinates
+        of the unit normal).  The frame at x is orthonormal, so inner
+        products of tangents are dot products of their coordinates.  With
+        orient=True (default) nu points along the outgoing radial
+        direction; orient=False leaves the sign arbitrary (cheaper, for
+        finite differences that fix the sign against a reference normal).
+        Raises ChartDegeneracyError if the frame is degenerate at any node.
         """
         x, v, e, de, r, dr = self._evaluate(params)
-        space = self.space
-        tangents = []
-        for b in range(self.n):
-            w = space.coords_to_tangent(self.center, dr[b] * e + r * de[:, b])
-            tangents.append(space.exp_differential(self.center, v, w))
-        # the deterministic frame is orthonormal, so metric inner products
-        # coincide with dot products of frame coordinates
-        tmat = np.stack([space.tangent_to_coords(t) for t in tangents])
-        gram = tmat @ tmat.T
-        if self.n == 2:
-            det = float(gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0])
+        space, n = self.space, self.n
+        # center-frame coordinates of d(r e)/dparams, then e for the orientation
+        w = (dr[..., :, None] * e[..., None, :]
+             + r[..., None, None] * np.swapaxes(de, -1, -2))
+        if orient:
+            w = np.concatenate([w, e[..., None, :]], axis=-2)
+        coords = space.tangent_to_coords(space.exp_differential(
+            self.center, Tangent(space, self.center, space.insert_axes(v.parts)),
+            space.coords_to_tangent(self.center, w),
+            y=Point(space, space.insert_axes(x.parts))))
+        tmat = coords[..., :n, :]
+        gram = tmat @ np.swapaxes(tmat, -1, -2)
+        if n == 2:
+            det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
         else:
-            det = float(np.linalg.det(gram))
+            det = np.linalg.det(gram)
         # degeneracy is about linear dependence, so compare against the
         # product of the tangent norms (near-pole Jacobians are honestly tiny)
-        scale = float(np.prod(np.diag(gram)))
-        if det < _GRAM_DET_TOL * scale:
+        rel = det / np.prod(np.diagonal(gram, axis1=-2, axis2=-1), axis=-1)
+        if np.any(rel < _GRAM_DET_TOL):
             raise ChartDegeneracyError(
-                f"chart frame degenerate (relative Gram det {det / scale:.3e})")
+                f"chart frame degenerate (relative Gram det {np.min(rel):.3e})")
         # unit normal: orthogonal complement of the chart tangents
-        if tmat.shape == (2, 3):
-            (a0, a1, a2), (b0, b1, b2) = tmat
-            nu_coords = np.array([a1 * b2 - a2 * b1,
-                                  a2 * b0 - a0 * b2,
-                                  a0 * b1 - a1 * b0])
-            nu_coords = nu_coords / math.sqrt(float(nu_coords @ nu_coords))
+        if n == 2:                      # cross product of the two tangents
+            a, b = tmat[..., 0, :], tmat[..., 1, :]
+            nu = a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+            nu = nu / np.sqrt(np.sum(nu * nu, axis=-1))[..., None]
         else:
-            _, _, vh = np.linalg.svd(tmat)
-            nu_coords = vh[-1]
+            nu = np.linalg.svd(tmat)[2][..., -1, :]
         if orient:
-            radial = space.exp_differential(
-                self.center, v, space.coords_to_tangent(self.center, e))
-            if float(nu_coords @ space.tangent_to_coords(radial)) < 0.0:
-                nu_coords = -nu_coords
-        nu = space.coords_to_tangent(x, nu_coords)
-        return {"x": x, "tangents": tangents, "jacobian": math.sqrt(det),
-                "nu": nu, "gram": gram}
+            flip = np.sum(nu * coords[..., n, :], axis=-1) < 0.0
+            nu = np.where(flip[..., None], -nu, nu)
+        return {"x": x, "tangents": tmat, "gram": gram,
+                "jacobian": np.sqrt(det), "nu": nu}
 
     def embed(self, params) -> Point:
         """Embedding point only (no chart tangents) -- cheap evaluator."""
@@ -328,15 +394,25 @@ class Hypersurface:
         return self.chart_at(node)["x"]
 
     def normal_at(self, node) -> Tangent:
-        return self.chart_at(node)["nu"]
+        c = self.chart_at(node)
+        return self.space.coords_to_tangent(c["x"], c["nu"])
+
+    def _blocks(self):
+        return [slice(s, s + _BLOCK) for s in range(0, self.size, _BLOCK)]
+
+    def _grid_chart(self) -> dict:
+        """The chart of every grid node, stacked (cached)."""
+        if self._chart_cache is None:
+            blocks = [self.chart(self.params[b]) for b in self._blocks()]
+            self._chart_cache = {k: _join([c[k] for c in blocks])
+                                 for k in blocks[0]}
+        return self._chart_cache
 
     def chart_at(self, node):
+        """Chart at a grid node (a view of the grid charts) or parameters."""
         if not isinstance(node, (int, np.integer)):
             return self.chart(self.node_params(node))
-        key = ("chart", int(node))
-        if key not in self._cache:
-            self._cache[key] = self.chart(self.params[node])
-        return self._cache[key]
+        return {k: _take(v, int(node)) for k, v in self._grid_chart().items()}
 
     def points_stack(self):
         """Stacked factor arrays for all nodes (for batched evaluations)."""
@@ -346,90 +422,75 @@ class Hypersurface:
 
     # -- fundamental forms ------------------------------------------------------
 
-    def _onb(self, chart):
-        """Gram-Schmidt ONB of the chart tangents plus chart coefficients."""
+    def _forms(self, params, base) -> FundamentalData:
+        """Fundamental data at params (..., n) from their oriented chart.
+
+        The orthonormal basis is the Gram-Schmidt basis of the chart
+        tangents in order, from the Cholesky factor L of their Gram matrix
+        (onb = L^-1 tangents).  Column i of A is the central difference of
+        the unit normal along onb_i over the stencil params +- h c_i
+        (c_i the rows of L^-1), each stencil normal parallel-transported
+        back to x and its sign fixed against the base normal.
+        """
         space = self.space
-        tangents = chart["tangents"]
-        onb, coeffs = [], []
-        for b, t in enumerate(tangents):
-            w = t
-            c = np.zeros(self.n)
-            c[b] = 1.0
-            for e_vec, ce in zip(onb, coeffs):
-                proj = space.inner(e_vec, w)
-                w = space.add(w, space.scale(e_vec, -proj))
-                c = c - proj * ce
-            nrm = space.norm(w)
-            if nrm < 1e-10 * space.norm(t):
-                raise ChartDegeneracyError("chart tangents numerically dependent")
-            onb.append(space.scale(w, 1.0 / nrm))
-            coeffs.append(c / nrm)
-        return onb, coeffs
+        coeffs = np.linalg.inv(np.linalg.cholesky(base["gram"]))
+        onb = coeffs @ base["tangents"]
+        h = H_SHAPE_REL * self.profile.base
+        steps = h * coeffs[..., :, None, :] * np.array([1.0, -1.0])[:, None]
+        st = self.chart(params[..., None, None, :] + steps, orient=False)
+        moved = space.tangent_to_coords(space.parallel_transport(
+            st["x"], Point(space, space.insert_axes(base["x"].parts, 2)),
+            space.coords_to_tangent(st["x"], st["nu"])))
+        nu = base["nu"]
+        flip = np.sum(moved * nu[..., None, None, :], axis=-1) < 0.0
+        moved = np.where(flip[..., None], -moved, moved)
+        dnu = (moved[..., 0, :] - moved[..., 1, :]) * (0.5 / h)
+        a = onb @ np.swapaxes(dnu, -1, -2)
+        sym_residual = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
+        a = 0.5 * (a + np.swapaxes(a, -1, -2))
+        return FundamentalData(
+            node=None, x=base["x"], nu_coords=nu, onb_coords=onb, a=a,
+            GK=np.linalg.det(a), H=np.trace(a, axis1=-2, axis2=-1),
+            area_weight=np.zeros(a.shape[:-2]), sym_residual=sym_residual)
+
+    def grid_forms(self) -> FundamentalData:
+        """Fundamental data of every grid node, stacked (cached)."""
+        if self._forms_cache is None:
+            c = self._grid_chart()
+            data = _join_forms([self._forms(self.params[b],
+                                            {k: _take(v, b) for k, v in c.items()})
+                                for b in self._blocks()])
+            data.area_weight = self.area_weights()
+            self._forms_cache = data
+        return self._forms_cache
 
     def fundamental_forms(self, node) -> FundamentalData:
-        """Fundamental data at a grid node (cached) or explicit parameters."""
-        on_grid = isinstance(node, (int, np.integer))
-        key = ("forms", int(node)) if on_grid else None
-        if key in self._cache:
-            return self._cache[key]
-        space = self.space
-        chart = self.chart_at(node)
-        x, nu = chart["x"], chart["nu"]
-        onb, coeffs = self._onb(chart)
-        onb_coords = np.stack([space.tangent_to_coords(t) for t in onb])
-        h = H_SHAPE_REL * self.profile.base
-        p0 = self.node_params(node)
-        a = np.zeros((self.n, self.n))
-        nu_coords = space.tangent_to_coords(nu)
-        for i in range(self.n):
-            dp = coeffs[i]
-            cp = self.chart(p0 + h * dp, orient=False)
-            cm = self.chart(p0 - h * dp, orient=False)
-            nup = space.parallel_transport(cp["x"], x, cp["nu"])
-            num = space.parallel_transport(cm["x"], x, cm["nu"])
-            # unoriented charts: fix each sign against the base normal
-            cup = space.tangent_to_coords(nup)
-            cum = space.tangent_to_coords(num)
-            if float(cup @ nu_coords) < 0.0:
-                cup = -cup
-            if float(cum @ nu_coords) < 0.0:
-                cum = -cum
-            a[:, i] = onb_coords @ ((cup - cum) * (0.5 / h))
-        sym_residual = float(np.max(np.abs(a - a.T)))
-        A = SymMatrix(a)
-        weight = (float(self.param_weights[node] * chart["jacobian"])
-                  if on_grid else 0.0)
-        data = FundamentalData(
-            node=node, x=x, nu=nu, onb=onb, A=A,
-            GK=float(np.linalg.det(A.a)), H=float(np.trace(A.a)),
-            area_weight=weight, sym_residual=sym_residual)
-        if on_grid:
-            self._cache[key] = data
+        """Fundamental data at a grid node (a view of `grid_forms`) or at
+        explicit parameters (n,) off the grid (a stack of one, area weight
+        0)."""
+        if isinstance(node, (int, np.integer)):
+            return self.grid_forms()[int(node)]
+        p = self.node_params(node)[None]
+        data = self._forms(p, self.chart(p))[0]
+        data.node = node
         return data
 
     def area_weights(self) -> np.ndarray:
         """All area weights (chart-tangent evaluation only, no shape FD)."""
-        if self._area_cache is None:
-            out = np.empty(self.size)
-            for i in range(self.size):
-                out[i] = self.param_weights[i] * self.chart_at(i)["jacobian"]
-            self._area_cache = out
-        return self._area_cache
+        return self.param_weights * self._grid_chart()["jacobian"]
 
     # -- Gauss-map plumbing -------------------------------------------------------
 
     def curve_through(self, node, w: Tangent):
         """Chart curve s -> (point, normal) through `node` with velocity w."""
         chart = self.chart_at(node)
-        tangents = chart["tangents"]
-        gram = chart["gram"]
-        rhs = np.array([self.space.inner(w, t) for t in tangents])
-        vel = np.linalg.solve(gram, rhs)
+        rhs = chart["tangents"] @ self.space.tangent_to_coords(w)
+        vel = np.linalg.solve(chart["gram"], rhs)
         p0 = self.node_params(node)
 
         def curve(s):
             c = self.chart(p0 + s * vel) if s != 0.0 else chart
-            return c["x"], c["nu"]
+            return c["x"], self.space.coords_to_tangent(c["x"], c["nu"])
 
         return curve
 
@@ -438,16 +499,12 @@ class Hypersurface:
     def integrate(self, what: str) -> float:
         if what == "area":
             return float(np.sum(self.area_weights()))
-        total = 0.0
-        for i in range(self.size):
-            d = self.fundamental_forms(i)
-            if what == "total_curvature":
-                total += abs(d.GK) * d.area_weight
-            elif what == "willmore":
-                total += abs(d.H / self.n) ** self.n * d.area_weight
-            else:
-                raise ConfigError(f"unknown integrand {what!r}")
-        return total
+        if what not in ("total_curvature", "willmore"):
+            raise ConfigError(f"unknown integrand {what!r}")
+        d = self.grid_forms()
+        if what == "total_curvature":
+            return float(np.sum(np.abs(d.GK) * d.area_weight))
+        return float(np.sum(np.abs(d.H / self.n) ** self.n * d.area_weight))
 
     def diameter_extrinsic(self, subsample: int = 400, sweeps: int = 4) -> float:
         """Max pairwise ambient distance over the grid (an under-estimate).

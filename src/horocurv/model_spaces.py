@@ -11,12 +11,19 @@ A `SymmetricSpace` is an ordered product of factors:
 
 Points and tangents are stored per factor.  All closed forms (exp, log,
 transport, exp differential) are exact up to rounding.  The factor
-`project_point`, `exp`, `dist`, `frame`, `to_coords`, `from_coords` and
-`bus_value` accept stacks of points, tangents or coordinates along leading
-axes, ``(..., d+1)`` hyperboloid and ``(..., n, n)`` SPD arrays.  The
-factor `exp` does not project (far out on a ray the constraint check loses
-all precision while the coordinates stay accurate); `exp_map` repairs the
-constraint drift by projecting once.
+`project_point`, `exp`, `dexp`, `transport`, `dist`, `frame`, `to_coords`,
+`from_coords` and `bus_value` accept stacks of points, tangents or
+coordinates along leading axes, ``(..., d+1)`` hyperboloid and
+``(..., n, n)`` SPD arrays, broadcasting them against each other; the SPD
+`dexp` is the Daleckii-Krein divided-difference formula on one batched
+eigendecomposition.  The factor `exp` does not project (far out on a ray
+the constraint check loses all precision while the coordinates stay
+accurate); `exp_map` repairs the constraint drift by projecting once, and
+the hyperboloid projection lifts the time coordinate from the spatial part,
+which stays accurate at any distance.
+
+Each factor's Busemann closed forms take the direction data of
+`bus_data(o, v)`, computed once per direction.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm_frechet
+# not used here: perfbench/tracer.py wraps this name to time SPD dexp kernels
+from scipy.linalg import expm_frechet  # noqa: F401
 
 from .errors import (ConfigError, DegeneratePlaneError, InputDomainError,
                      UnsupportedVolumeError)
@@ -62,6 +70,7 @@ class Tangent:
 
 class EuclideanFactor:
     kind = "euclidean"
+    point_ndim = 1
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -93,7 +102,7 @@ class EuclideanFactor:
         return np.linalg.norm(xs - y, axis=-1)
 
     def transport(self, x, y, v):
-        return v
+        return np.zeros(np.broadcast(x, y, v).shape) + v
 
     def frame(self, x):
         return np.zeros(np.shape(x)[:-1] + (self.dim, self.dim)) + np.eye(self.dim)
@@ -105,7 +114,7 @@ class EuclideanFactor:
         return np.asarray(c, dtype=float)
 
     def dexp(self, x, v, w):
-        return np.asarray(w, dtype=float)
+        return np.zeros(np.broadcast(x, v, w).shape) + w
 
     def curvature_lower_bound(self):
         return 0.0
@@ -118,18 +127,18 @@ class EuclideanFactor:
 
     # Busemann closed forms -------------------------------------------------
 
-    def bus_value(self, o, v, xs):
+    def bus_data(self, o, v):
+        return o, v
+
+    def bus_value(self, data, xs):
+        o, v = data
         return -(xs - o) @ v
 
-    def bus_grad(self, o, v, x):
-        return -v
+    def bus_grad(self, data, x):
+        return -data[1]
 
-    def bus_hess_op(self, o, v, x):
-        def apply(w):
-            return np.zeros_like(w)
-        return apply
-
-    def bus_trunc_value(self, o, v, x, t):
+    def bus_trunc_value(self, data, x, t):
+        o, v = data
         w = x - o
         num = float(np.dot(w, w)) - 2.0 * t * float(np.dot(w, v))
         return num / (np.linalg.norm(w - t * v) + t)
@@ -146,6 +155,7 @@ class EuclideanFactor:
 
 class HyperbolicFactor:
     kind = "hyperbolic"
+    point_ndim = 1
 
     def __init__(self, dim: int, kappa: float):
         if dim < 2:
@@ -167,13 +177,24 @@ class HyperbolicFactor:
         return o
 
     def project_point(self, x):
+        """Lift onto the sheet: keep the spatial part, recompute x_last.
+
+        Q(x, x) = -1/kappa^2 is computed from coordinates of size
+        cosh(kappa d) and cancels to rounding noise far out, so only
+        points spacelike beyond POINT_TOL relative to |x|^2, or on the
+        past sheet, are rejected.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim + 1,) or not np.isfinite(x).all():
             raise InputDomainError("invalid hyperboloid point")
-        q = self.minkowski(x, x)
-        if np.any(q >= 0) or np.any(x[..., -1] <= 0):
+        spatial = x[..., :-1]
+        r2 = np.sum(spatial * spatial, axis=-1)
+        q = r2 - x[..., -1] ** 2
+        if (np.any(q > POINT_TOL * (r2 + x[..., -1] ** 2))
+                or np.any(x[..., -1] <= 0)):
             raise InputDomainError("point off the future hyperboloid sheet")
-        return x / (self.kappa * np.sqrt(-q))[..., None]
+        last = np.sqrt(self.kappa ** -2 + r2)[..., None]
+        return np.concatenate([spatial, last], axis=-1)
 
     def inner(self, x, u, v):
         return float(self.minkowski(u, v))
@@ -204,7 +225,7 @@ class HyperbolicFactor:
     def transport(self, x, y, v):
         k2 = self.kappa ** 2
         denom = 1.0 - k2 * self.minkowski(x, y)
-        return v + (k2 * self.minkowski(y, v) / denom) * (x + y)
+        return v + (k2 * self.minkowski(y, v) / denom)[..., None] * (x + y)
 
     def frame(self, x):
         """Frame rows (..., dim, dim+1): the boost of the standard basis.
@@ -228,20 +249,20 @@ class HyperbolicFactor:
         return np.sum(c[..., :, None] * self.frame(x), axis=-2)
 
     def dexp(self, x, v, w):
-        """d/ds exp_x(v + s w) at s = 0 (closed form, stable near v = 0)."""
+        """d/ds exp_x(v + s w) at s = 0 (closed form, series near v = 0)."""
         k = self.kappa
-        t = math.sqrt(max(self.minkowski(v, v), 0.0))
+        t = np.sqrt(np.maximum(self.minkowski(v, v), 0.0))
         z = k * t
         qvw = self.minkowski(v, w)
-        if z < 1e-4:
-            s = 1.0 + z * z / 6.0 + z ** 4 / 120.0
-            a1 = k * k * (1.0 + z * z / 6.0)
-            a2 = k * k * (1.0 / 3.0 + z * z / 30.0)
-        else:
-            s = math.sinh(z) / z
-            a1 = k * math.sinh(z) / t
-            a2 = (k * math.cosh(z) - math.sinh(z) / t) / (k * t * t)
-        return a1 * qvw * x + a2 * qvw * v + s * w
+        small = z < 1e-4
+        zs, ts = np.where(small, 1.0, z), np.where(small, 1.0, t)
+        sh = np.sinh(zs)
+        s = np.where(small, 1.0 + z * z / 6.0 + z ** 4 / 120.0, sh / zs)
+        a1 = np.where(small, k * k * (1.0 + z * z / 6.0), k * sh / ts)
+        a2 = np.where(small, k * k * (1.0 / 3.0 + z * z / 30.0),
+                      (k * np.cosh(zs) - sh / ts) / (k * ts * ts))
+        return ((a1 * qvw)[..., None] * x + (a2 * qvw)[..., None] * v
+                + s[..., None] * w)
 
     def curvature_lower_bound(self):
         return self.kappa
@@ -255,27 +276,22 @@ class HyperbolicFactor:
 
     # Busemann closed forms (ideal point p = o + v/kappa, Q(p,p) = 0) -------
 
-    def bus_value(self, o, v, xs):
-        k = self.kappa
-        p = o + v / k
-        return np.log(-k * k * self.minkowski(xs, p)) / k
+    def bus_data(self, o, v):
+        return o, v, o + v / self.kappa
 
-    def bus_grad(self, o, v, x):
+    def bus_value(self, data, xs):
         k = self.kappa
-        p = o + v / k
+        return np.log(-k * k * self.minkowski(xs, data[2])) / k
+
+    def bus_grad(self, data, x):
+        k = self.kappa
+        p = data[2]
         return p / (k * self.minkowski(x, p)) + k * x
 
-    def bus_hess_op(self, o, v, x):
-        k = self.kappa
-        grad = self.bus_grad(o, v, x)
-
-        def apply(w):
-            return k * (w - self.minkowski(grad, w) * grad)
-        return apply
-
-    def bus_trunc_value(self, o, v, x, t):
+    def bus_trunc_value(self, data, x, t):
         """d(x, gamma_v(t)) - t evaluated in the log domain (no overflow)."""
         k = self.kappa
+        o, v, _ = data
         a = -k * k * self.minkowski(x, o)
         b = -k * self.minkowski(x, v)
         z_arg = k * t
@@ -303,6 +319,7 @@ class HyperbolicFactor:
 
 class SPDFactor:
     kind = "spd"
+    point_ndim = 2
 
     def __init__(self, n: int, lam: float | None = None):
         if n < 2:
@@ -378,11 +395,11 @@ class SPDFactor:
 
     def transport(self, x, y, v):
         xs, xsi = spd_inv_sqrt(x)
-        s = xsi @ y @ xsi
-        w, q = np.linalg.eigh(0.5 * (s + s.T))
-        half = (q * np.sqrt(w)) @ q.T  # expm(logm(s)/2)
+        w, q = np.linalg.eigh(_sym_stack(xsi @ y @ xsi))
+        qt = np.swapaxes(q, -1, -2)
+        half = (q * np.sqrt(w)[..., None, :]) @ qt  # expm(logm(s)/2)
         e = xs @ half @ xsi
-        return e @ v @ e.T
+        return e @ v @ np.swapaxes(e, -1, -2)
 
     def frame(self, x):
         """Frame (..., dim, n, n): the identity frame pushed forward to x."""
@@ -399,9 +416,21 @@ class SPDFactor:
         return np.sum(c[..., :, None, None] * self.frame(x), axis=-3)
 
     def dexp(self, x, v, w):
+        """Daleckii-Krein: D exp_V[E] = Q (G o Q^T E Q) Q^T, V = Q diag(l) Q^T.
+
+        G_ij = (e^l_i - e^l_j) / (l_i - l_j), evaluated as
+        e^l_j expm1(l_i - l_j) / (l_i - l_j) and e^l_j on ties (Higham,
+        Functions of Matrices, 2008, Ch. 3), after translating x to the
+        identity.
+        """
         xs, xsi = spd_inv_sqrt(x)
-        _, fr = expm_frechet(xsi @ v @ xsi, xsi @ w @ xsi)
-        return xs @ fr @ xs
+        lam, q = np.linalg.eigh(_sym_stack(xsi @ v @ xsi))
+        qt = np.swapaxes(q, -1, -2)
+        d = lam[..., :, None] - lam[..., None, :]
+        tie = d == 0.0
+        gamma = (np.exp(lam)[..., None, :]
+                 * np.where(tie, 1.0, np.expm1(d) / np.where(tie, 1.0, d)))
+        return xs @ (q @ (gamma * (qt @ xsi @ w @ xsi @ q)) @ qt) @ xs
 
     def curvature_lower_bound(self):
         """kappa with sec >= -kappa^2, kappa^2 = max|alpha|^2 / lam.
@@ -421,7 +450,7 @@ class SPDFactor:
 
     # Busemann closed forms (Iwasawa principal-minor formula) ----------------
 
-    def _direction_data(self, o, v):
+    def bus_data(self, o, v):
         """Translate (o, v) to the identity and diagonalize the direction."""
         osq, osi = spd_inv_sqrt(o)
         v0 = osi @ v @ osi
@@ -431,8 +460,8 @@ class SPDFactor:
         breaks = [i for i in range(self.n - 1) if delta[i] - delta[i + 1] > 1e-12]
         return osq, osi, delta, k, breaks
 
-    def bus_value(self, o, v, xs):
-        osq, osi, delta, k, breaks = self._direction_data(o, v)
+    def bus_value(self, data, xs):
+        osq, osi, delta, k, breaks = data
         x0 = osi @ xs @ osi
         s = k.T @ np.linalg.inv(x0) @ k
         total = np.zeros(s.shape[:-2])
@@ -441,8 +470,8 @@ class SPDFactor:
             total = total + (delta[i] - delta[i + 1]) * logdet
         return self.metric_coef() * total
 
-    def bus_grad(self, o, v, x):
-        osq, osi, delta, k, breaks = self._direction_data(o, v)
+    def bus_grad(self, data, x):
+        osq, osi, delta, k, breaks = data
         x0 = osi @ x @ osi
         s = k.T @ np.linalg.inv(x0) @ k
         g0 = np.zeros((self.n, self.n))
@@ -471,14 +500,14 @@ class SPDFactor:
         a2 = (ad @ ad)[:self._p_dim, :self._p_dim]
         return psd_sqrt(0.5 * (a2 + a2.T)).a / math.sqrt(self.lam)
 
-    def bus_trunc_value(self, o, v, x, t):
+    def bus_trunc_value(self, data, x, t):
         """d(x, gamma_v(t)) - t via overflow-safe log-eigenvalues.
 
         For n <= 3 the three log-eigenvalues of x0^{-1/2} e^{tV} x0^{-1/2}
         come from lambda_max of the matrix and of its inverse plus the
         unit-determinant constraint; larger n falls back to mpmath.
         """
-        osq, osi, delta, k, _ = self._direction_data(o, v)
+        osq, osi, delta, k, _ = data
         x0 = osi @ x @ osi
         x0s, x0si = spd_inv_sqrt(0.5 * (x0 + x0.T))
         scale = math.sqrt(self.metric_coef())
@@ -670,12 +699,25 @@ class SymmetricSpace:
             f.transport(xp, yp, vp)
             for f, xp, yp, vp in zip(self.factors, x.parts, y.parts, v.parts)))
 
-    def exp_differential(self, x: Point, v: Tangent, w: Tangent) -> Tangent:
-        """d/ds exp_x(v + s w) at s = 0, as a tangent at exp_x(v)."""
-        y = self.exp_map(x, v)
+    def exp_differential(self, x: Point, v: Tangent, w: Tangent,
+                         y: Point | None = None) -> Tangent:
+        """d/ds exp_x(v + s w) at s = 0, as a tangent at y = exp_x(v).
+
+        v and w may be stacks that broadcast against each other; pass y
+        when exp_x(v) is already known.
+        """
+        if y is None:
+            y = self.exp_map(x, v)
         return Tangent(self, y, tuple(
             f.dexp(xp, vp, wp)
             for f, xp, vp, wp in zip(self.factors, x.parts, v.parts, w.parts)))
+
+    def insert_axes(self, parts, count: int = 1) -> tuple:
+        """Factor stacks with `count` unit axes inserted before the point
+        axes, so that they broadcast against stacks with more leading axes."""
+        return tuple(np.expand_dims(p, tuple(range(-f.point_ndim - count,
+                                                   -f.point_ndim)))
+                     for f, p in zip(self.factors, parts))
 
     # -- frames and coordinates ----------------------------------------------
 

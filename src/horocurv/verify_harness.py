@@ -185,7 +185,7 @@ def _polish_max(M, bus, p, best, f, iters: int = 10):
         except InputDomainError:
             break
         grad = bus.gradient(chart["x"])
-        rhs = np.array([space.inner(grad, t) for t in chart["tangents"]])
+        rhs = chart["tangents"] @ space.tangent_to_coords(grad)
         dp = np.linalg.solve(chart["gram"], rhs)
         gnorm = math.sqrt(max(float(rhs @ dp), 0.0))
         if gnorm < 1e-11:
@@ -207,8 +207,7 @@ def _contact_node_data(M, o: Point, bus: BusemannFunction, handle, value,
     grad = bus.gradient(x)
     resid = space.norm(space.add(grad, space.scale(nu, -1.0)))
     hess = bus.hessian(x).a
-    onb_coords = np.stack([space.tangent_to_coords(e) for e in data.onb])
-    hess_tan = onb_coords @ hess @ onb_coords.T
+    hess_tan = data.onb_coords @ hess @ data.onb_coords.T
     eig_support = float(np.min(np.linalg.eigvalsh(data.A.a - hess_tan)))
     eig_hess = float(np.min(np.linalg.eigvalsh(hess)))
     jac, stencil_ok = None, True
@@ -444,9 +443,7 @@ def willmore_check(M, o: Point) -> VerificationReport:
     lhs = M.integrate("willmore")
     rhs = math.exp(-n * (n + 1) * kappa * d) * sphere_area(n)
     total = M.integrate("total_curvature")
-    all_psd = all(
-        float(np.min(np.linalg.eigvalsh(M.fundamental_forms(i).A.a))) >= -1e-6
-        for i in range(M.size))
+    all_psd = bool(np.min(np.linalg.eigvalsh(M.grid_forms().a)) >= -1e-6)
     passed = lhs >= rhs * (1.0 - INEQ_TOL)
     if all_psd and lhs < total * (1.0 - INEQ_TOL):
         passed = False

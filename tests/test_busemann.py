@@ -59,8 +59,9 @@ def test_product_value_formula():
     v = space.tangent(o, (math.cos(theta) * vh, math.sin(theta) * ve))
     bus = BusemannFunction(space, o, v)
     x = space.random_point(o, rng, 1.5)
-    b1 = space.factors[0].bus_value(o.parts[0], vh, x.parts[0])
-    b2 = space.factors[1].bus_value(o.parts[1], ve, x.parts[1])
+    fh, fe = space.factors
+    b1 = fh.bus_value(fh.bus_data(o.parts[0], vh), x.parts[0])
+    b2 = fe.bus_value(fe.bus_data(o.parts[1], ve), x.parts[1])
     expected = math.cos(theta) * b1 + math.sin(theta) * b2
     assert abs(bus.value(x) - expected) < 1e-12
 

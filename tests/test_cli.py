@@ -189,3 +189,40 @@ def test_sweep_spd_fields_are_plain_numbers(capsys):
     for field in rows[0].split(","):
         if field:
             float(field)
+
+
+def test_sweep_honours_config(tmp_path, capsys):
+    # the sweep reads space, surface, grid, seed and format from the file;
+    # flags win over it, as in verify
+    path = tmp_path / "sweep.cfg"
+    path.write_text("space = euclidean:3\nsurface = geodesic-sphere:r=1\n"
+                    "grid = 12x24\nseed = 5\nformat = json\n")
+    assert main(["sweep", "--config", str(path), "--count", "2"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    flags = ["sweep", "--space", "euclidean:3", "--surface",
+             "geodesic-sphere:r=1", "--grid", "12x24", "--count", "2"]
+    assert main(flags + ["--seed", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == records
+    assert main(["sweep", "--config", str(path), "--count", "2",
+                 "--grid", "8x16"]) == 0
+    overridden = capsys.readouterr().out
+    flags[flags.index("12x24")] = "8x16"
+    assert main(flags + ["--seed", "5", "--format", "json"]) == 0
+    assert capsys.readouterr().out == overridden
+    # a flag wins even when it repeats the default value
+    assert main(["sweep", "--config", str(path), "--count", "1",
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("direction,c_v")
+    path.write_text("space = euclidean:3\ngrid = 12x24\n")
+    assert main(["sweep", "--config", str(path), "--count", "1"]) == 0
+    assert capsys.readouterr().out.startswith("direction,c_v")
+
+
+def test_verify_flag_repeating_default_wins(tmp_path, capsys):
+    path = tmp_path / "suite.cfg"
+    path.write_text("checks = det-audit\nsamples = 5\nformat = csv\n")
+    assert main(["verify", "det-audit", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("check,space")
+    assert main(["verify", "det-audit", "--config", str(path),
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["check"] == "det-audit"

@@ -198,3 +198,44 @@ def test_point_evaluators_agree(spec, surface, grid):
             for part, stack in zip(x.parts, stacks):
                 assert part.shape == stack[i].shape
                 assert np.max(np.abs(part - stack[i])) <= 1e-14
+
+
+@pytest.mark.parametrize("spec,surface,grid", [
+    ("euclidean:3", "radial-graph:base=1,mode=coord,amp=0.3", [8, 16]),
+    ("hyperbolic:3,kappa=1", "radial-graph:base=1,mode=latitude,amp=0.2",
+     [8, 16]),
+    ("spd:3", "geodesic-sphere:r=0.5", [3] * 4),
+    ("hyperbolic:2,kappa=1xeuclidean:1", "geodesic-sphere:r=0.75", [6, 12]),
+], ids=["e3-graph", "h3-graph", "spd3-sphere", "product"])
+def test_batched_forms_match_off_grid(spec, surface, grid):
+    # the grid stacks and the off-grid path (a stack of one) are one
+    # implementation: node i of the stacks equals the forms at params[i]
+    space = parse_space(spec)
+    M = Hypersurface(space, space.origin(), parse_surface(surface), grid)
+    stack = M.grid_forms()
+    assert stack.a.shape == (M.size, M.n, M.n)
+    for i in range(M.size):
+        node = M.fundamental_forms(i)
+        off = M.fundamental_forms(M.params[i])
+        assert off.area_weight == 0.0
+        assert node.area_weight == M.area_weights()[i]
+        for name in ("a", "nu_coords", "onb_coords", "GK", "H"):
+            a, b = getattr(node, name), getattr(off, name)
+            scale = max(1.0, float(np.max(np.abs(b))))
+            assert np.max(np.abs(np.asarray(a) - b)) <= 1e-12 * scale, name
+        for a, b in zip(node.x.parts, off.x.parts):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("spec,r,gk", [
+    ("euclidean:3", 0.7, 1.0 / 0.7 ** 2),
+    ("hyperbolic:3,kappa=1", 1.0, 1.0 / math.tanh(1.0) ** 2),
+    ("hyperbolic:3,kappa=1", 0.3, 1.0 / math.tanh(0.3) ** 2),
+], ids=["e3-r0.7", "h3-r1", "h3-r0.3"])
+def test_gauss_curvature_closed_form_every_node(spec, r, gk):
+    # [DERIVED] E3 sphere GK = 1/r^2, H3 sphere GK = coth^2 r, at every node
+    space = parse_space(spec)
+    M = geodesic_sphere(space, space.origin(), r, [12, 24])
+    d = M.grid_forms()
+    assert np.max(np.abs(d.GK / gk - 1.0)) < 1e-6
+    assert np.max(d.sym_residual) < 1e-6 * gk

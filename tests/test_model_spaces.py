@@ -194,3 +194,22 @@ def test_point_rejects_invalid_parts(parts):
     # exactly one valid point per factor
     with pytest.raises(InputDomainError):
         parse_space("hyperbolic:2,kappa=1xspd:2").point(parts)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.5])
+@pytest.mark.parametrize("d", [19.0, 25.0, 35.0])
+def test_hyperbolic_far_exp_lands_on_sheet(kappa, d):
+    # beyond kappa d ~ 18.5 Q(x, x) = -1/kappa^2 cancels to rounding noise
+    # of the cosh(kappa d)-sized coordinates; exp_map must still accept the
+    # point and put it on the sheet
+    space = parse_space(f"hyperbolic:3,kappa={kappa}")
+    f = space.factors[0]
+    o = space.origin()
+    u = np.random.default_rng(19).standard_normal((200, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    x = space.exp_map(o, space.coords_to_tangent(o, d * u)).parts[0]
+    size = np.sum(x * x, axis=-1)
+    assert np.max(np.abs(f.minkowski(x, x) + kappa ** -2) / size) <= 1e-12
+    assert np.max(np.abs(f.dist(x, o.parts[0]) - d)) <= 1e-12 * d
+    spatial = x[:, :-1] / np.linalg.norm(x[:, :-1], axis=1, keepdims=True)
+    assert np.max(np.abs(spatial - u)) <= 1e-12

@@ -1,9 +1,12 @@
 """Property tests: stacked factor operations equal their per-point results.
 
-Every factor operation that accepts stacks (project_point, exp, dist,
-bus_value, frame, to_coords, from_coords) is run on random stacks of 1-8
-points and compared with the same call point by point.  Examples are
-derandomized so the suite stays deterministic.
+Every factor operation that accepts stacks (project_point, exp, dexp,
+transport, dist, bus_value, frame, to_coords, from_coords) is run on random
+stacks of 1-8 points and compared with the same call point by point.  The
+exp differential is also checked against central differences of exp (and,
+on SPD, against scipy's expm_frechet as an independent oracle) and parallel
+transport as an isometry.  Examples are derandomized so the suite stays
+deterministic.
 """
 
 import numpy as np
@@ -97,7 +100,8 @@ def test_factor_stacks_over_base_points(setup):
         coords = f.to_coords(xf, vf)
         dists = f.dist(xf, xf[0])
         nrm = np.sqrt(max(f.inner(of, u, u), 0.0))
-        values = f.bus_value(of, u / nrm, xf) if nrm > 1e-3 else None
+        data = f.bus_data(of, u / nrm) if nrm > 1e-3 else None
+        values = f.bus_value(data, xf) if data else None
         for i in range(k):
             vi = f.from_coords(xf[i], cf[i])
             _close(vf[i], vi)
@@ -107,7 +111,7 @@ def test_factor_stacks_over_base_points(setup):
             _close(coords[i], cf[i])
             _close(dists[i], f.dist(xf[i], xf[0]))
             if values is not None:
-                _close(values[i], f.bus_value(of, u / nrm, xf[i]))
+                _close(values[i], f.bus_value(data, xf[i]))
 
 
 @PROPERTY
@@ -131,3 +135,100 @@ def test_hyperbolic_frame_boost_orthonormal(spec, dirs, dist):
     tangency = f.minkowski(frames, xs[..., None, :])
     assert np.max(np.abs(tangency)
                   / (size * np.linalg.norm(xs, axis=-1)[..., None])) <= 1e-10
+
+
+def _coords(space, t):
+    return np.asarray(space.tangent_to_coords(t))
+
+
+@PROPERTY
+@given(_setups())
+def test_dexp_transport_stacks_match_points(setup):
+    # exp differential at one base point for a stack of v (broadcast against
+    # one w), transport from a stack of points to one point
+    space, c0, cs, cv = setup
+    x = _points(space, c0)
+    vs = space.coords_to_tangent(x, cs)
+    w = space.coords_to_tangent(x, cv)
+    d = space.exp_differential(x, vs, w)
+    d_coords = _coords(space, d)
+    xs = _points(space, cs)
+    us = space.coords_to_tangent(xs, cs[::-1].copy())
+    moved = _coords(space, space.parallel_transport(xs, x, us))
+    for i, ci in enumerate(cs):
+        vi = space.coords_to_tangent(x, ci)
+        di = space.exp_differential(x, vi, w)
+        for a, b in zip(d.parts, di.parts):
+            _close(a[i], b)
+        _close(d_coords[i], _coords(space, di))
+        xi = _points(space, ci)
+        ui = space.coords_to_tangent(xi, cs[::-1][i])
+        _close(moved[i], _coords(space, space.parallel_transport(xi, x, ui)))
+
+
+@PROPERTY
+@given(_setups())
+def test_dexp_matches_central_difference(setup):
+    space, c0, cs, cv = setup
+    x = _points(space, c0)
+    v = space.coords_to_tangent(x, cs[0])
+    w = space.coords_to_tangent(x, cv)
+    y = space.exp_map(x, v)
+    h = 1e-5
+
+    def log_coords(s):
+        xs = space.exp_map(x, space.add(v, space.scale(w, s)))
+        return _coords(space, space.log_map(y, xs))
+
+    fd = (log_coords(h) - log_coords(-h)) / (2.0 * h)
+    exact = _coords(space, space.exp_differential(x, v, w))
+    assert np.max(np.abs(exact - fd)) <= 1e-6 * (1.0 + np.max(np.abs(exact)))
+
+
+@PROPERTY
+@given(_setups())
+def test_transport_is_isometry(setup):
+    # frames are orthonormal, so inner products are coordinate dot products
+    space, c0, cs, cv = setup
+    x = _points(space, c0)
+    xs = _points(space, cs)
+    a = cs[::-1].copy()
+    b = np.broadcast_to(cv, cs.shape)
+    ta = _coords(space, space.parallel_transport(
+        xs, x, space.coords_to_tangent(xs, a)))
+    tb = _coords(space, space.parallel_transport(
+        xs, x, space.coords_to_tangent(xs, b)))
+    before = np.stack([np.sum(a * a, -1), np.sum(a * b, -1), np.sum(b * b, -1)])
+    after = np.stack([np.sum(ta * ta, -1), np.sum(ta * tb, -1),
+                      np.sum(tb * tb, -1)])
+    assert np.max(np.abs(after - before)) <= 1e-12 * (1.0 + np.max(before))
+
+
+_TIES = st.sampled_from(["none", "pair", "all"])
+
+
+@PROPERTY
+@given(arrays(float, 3, elements=st.floats(-1.5, 1.5)), _TIES,
+       arrays(float, (3, 3), elements=_COORD),
+       arrays(float, (3, 3), elements=_COORD),
+       arrays(float, 5, elements=_COORD))
+def test_spd_dexp_matches_expm_frechet(lam, ties, rot, e, c0):
+    # Daleckii-Krein against scipy's Frechet derivative (an independent
+    # algorithm), with exactly repeated eigenvalues of the translated v
+    from scipy.linalg import expm_frechet
+    from horocurv.numeric_kernel import spd_inv_sqrt
+    space = _SPACES["spd:3"]
+    f = space.factors[0]
+    if ties == "pair":
+        lam[1] = lam[0]
+    elif ties == "all":
+        lam[:] = lam[0]
+    lam = lam - lam.mean()
+    q, _ = np.linalg.qr(rot + 3.0 * np.eye(3))
+    x = _points(space, c0).parts[0]
+    xs, xsi = spd_inv_sqrt(x)
+    v = xs @ ((q * lam) @ q.T) @ xs
+    e = 0.5 * (e + e.T)
+    w = xs @ (e - np.trace(e) / 3.0 * np.eye(3)) @ xs
+    _, fr = expm_frechet(xsi @ v @ xsi, xsi @ w @ xsi)
+    _close(f.dexp(x, v, w), xs @ fr @ xs)
