@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
 configuration (unparseable spec, unknown check, unknown config key,
-unwritable output).  Reports are byte-stable across reruns except the
-runtime_ms field.
+negative seed, empty sweep, unwritable output).  Reports are byte-stable
+across reruns except the runtime_ms field.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from . import verify_harness as vh
-from .errors import HorocurvError
+from .errors import ConfigError, HorocurvError
 from .hypersurface import Hypersurface, parse_grid, parse_surface
 from .model_spaces import parse_space
 
@@ -202,7 +202,7 @@ _SWEEP_FIELDS = ["direction", "c_v", "tie_tol", "s_residual",
 def _sweep_rows(records):
     """One row of _SWEEP_FIELDS values per record; jacobian None if unmeasured."""
     for i, rec in enumerate(records):
-        cn = rec.representative
+        cn = rec.contact
         yield [i, rec.c_v, rec.tie_tol, cn.s_residual, cn.eig_min_support,
                cn.eig_min_hessian, cn.GK, cn.jacobian, int(cn.stencil_ok)]
 
@@ -285,6 +285,8 @@ def config_from_args(args) -> SuiteConfig:
     for f in fields(SuiteConfig):
         if f.name != "checks" and hasattr(args, f.name):
             setattr(cfg, f.name, getattr(args, f.name))
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     return cfg
 
 

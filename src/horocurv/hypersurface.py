@@ -110,14 +110,17 @@ def parse_grid(spec: str, n: int):
     if m:
         if n != 2:
             raise ConfigError(f"grid {spec!r} is for 2-spheres, surface needs n={n}")
-        return [int(m.group(1)), int(m.group(2))]
-    m = re.fullmatch(r"(\d+)\^(\d+)", spec)
-    if m:
+        counts = [int(m.group(1)), int(m.group(2))]
+    elif m := re.fullmatch(r"(\d+)\^(\d+)", spec):
         if int(m.group(2)) != n:
             raise ConfigError(
                 f"grid {spec!r} has {m.group(2)} axes, surface needs n={n}")
-        return [int(m.group(1))] * n
-    raise ConfigError(f"cannot parse grid spec {spec!r}")
+        counts = [int(m.group(1))] * n
+    else:
+        raise ConfigError(f"cannot parse grid spec {spec!r}")
+    if min(counts) < 1:
+        raise ConfigError(f"grid {spec!r} needs at least one node per axis")
+    return counts
 
 
 def default_grid(n: int):
@@ -153,7 +156,7 @@ def build_param_grid(n: int, counts):
     params = np.stack([m.ravel() for m in mesh], axis=-1)
     wmesh = np.meshgrid(*axes_weights, indexing="ij")
     weights = np.prod(np.stack([w.ravel() for w in wmesh], axis=-1), axis=-1)
-    return params, weights, dir_fn, axes_nodes
+    return params, weights, dir_fn
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +291,8 @@ class Hypersurface:
             raise ConfigError("hypersurfaces need ambient dimension >= 3")
         counts = grid_counts if grid_counts is not None else default_grid(self.n)
         self.grid_counts = list(counts)
-        (self.params, self.param_weights, self._dir_fn,
-         self.axes_nodes) = build_param_grid(self.n, self.grid_counts)
+        self.params, self.param_weights, self._dir_fn = build_param_grid(
+            self.n, self.grid_counts)
         self.size = len(self.params)
         self._chart_cache = None
         self._forms_cache = None
@@ -368,21 +371,6 @@ class Hypersurface:
     def embed(self, params) -> Point:
         """Embedding point only (no chart tangents) -- cheap evaluator."""
         return self._evaluate(params)[0]
-
-    def axis_spacing(self, node: int) -> np.ndarray:
-        """Local half-spacing per parameter axis around a grid node."""
-        out = np.empty(self.n)
-        p = self.params[node]
-        for a, vals in enumerate(self.axes_nodes):
-            if len(vals) < 2:
-                out[a] = 1.0
-                continue
-            gaps = np.diff(np.sort(vals))
-            i = int(np.argmin(np.abs(vals - p[a])))
-            lo = gaps[max(i - 1, 0)]
-            hi = gaps[min(i, len(gaps) - 1)]
-            out[a] = 0.5 * min(lo, hi)
-        return out
 
     def node_params(self, node):
         """Parameters for a node handle: grid index or explicit parameters."""

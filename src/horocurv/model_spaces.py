@@ -211,11 +211,19 @@ class HyperbolicFactor:
 
     def log(self, x, y):
         k = self.kappa
-        z = max(-k * k * self.minkowski(x, y), 1.0)
-        d = math.acosh(z) / k
+        z = -k * k * self.minkowski(x, y)
+        if z > 2.0:
+            d, w = math.acosh(z) / k, y - z * x
+        else:
+            # near x, z - 1 cancels to rounding noise below d ~ 1e-8: take d
+            # from the chord, |y - x| = (2/k) sinh(k d / 2), and
+            # y - z x = (y - x) - (z - 1) x with z - 1 = (k |y - x|)^2 / 2
+            chord = math.sqrt(max(self.minkowski(y - x, y - x), 0.0))
+            d = 2.0 * math.asinh(0.5 * k * chord) / k
+            w = (y - x) - 0.5 * (k * chord) ** 2 * x
         if d < 1e-300:
             return np.zeros_like(x)
-        u = (y - z * x) * (k / math.sinh(k * d))
+        u = w * (k / math.sinh(k * d))
         return d * u
 
     def dist(self, xs, y):

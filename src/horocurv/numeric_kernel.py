@@ -64,18 +64,6 @@ def op_norm(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
-def sym_eig(m):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues descending, eigenvector columns), with
-    Q @ diag(w) @ Q.T reconstructing the input to machine accuracy.
-    """
-    a = _as_sym_array(m)
-    w, q = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return w[order], q[:, order]
-
-
 def psd_sqrt(m) -> SymMatrix:
     """Unique PSD square root of a symmetric PSD matrix.
 

@@ -40,7 +40,8 @@ EIG_FLOOR_HESS = -1e-8
 JAC_SLACK = 1e-3
 INEQ_TOL = 1e-6
 SWEEP_COUNT = 500
-GOLDEN_STEPS = 20
+ASCENT_STEPS = 40
+ASCENT_MAX_MOVE = 0.5          # largest parameter move (rad) per line search
 STENCIL_EXCLUDED_MAX = 0.1     # share of sweep contact nodes
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,7 +59,7 @@ def ball_volume_euclidean(n_plus_1: int, r: float = 1.0) -> float:
 
 @dataclass
 class ContactNode:
-    node: int
+    node: np.ndarray              # chart parameters of the contact point
     value: float                  # B_v at the node
     s_residual: float             # |grad B_v(x) - nu(x)|
     eig_min_support: float        # min eigenvalue of A - Hess B_v on T_xM
@@ -73,13 +74,9 @@ class ContactRecord:
     """First-contact data of the horosphere foliation of B_v against M."""
 
     v: Tangent
-    c_v: float                    # refined max of B_v over M
+    c_v: float                    # max of B_v over M, off the grid
     tie_tol: float
-    nodes: list                   # ContactNode, ordered by grid index
-
-    @property
-    def representative(self) -> ContactNode:
-        return self.nodes[0]
+    contact: ContactNode          # at the maximizer of B_v
 
 
 @dataclass
@@ -139,16 +136,19 @@ def _golden_max(g, a: float, b: float, iters: int):
     return (c, gc) if gc >= gd else (d, gd)
 
 
-def _refine_max(M, bus: BusemannFunction, node: int,
-                steps: int = GOLDEN_STEPS):
-    """Golden-section ascent of B_v(embed(params)) around a grid maximizer.
+def _ascend_max(M, bus: BusemannFunction, p, best: float):
+    """Natural-gradient ascent of B_v(embed(params)) from parameters p.
 
-    `steps` axis line searches, cycling through the chart axes with
-    shrinking brackets; removes the grid bias of the contact level and
-    locates the off-grid contact point.  Returns (value, params).
+    `best` is B_v at p.  Each step follows the chart projection of
+    grad B_v (steepest ascent in the surface metric, which is
+    coordinate-free and conditions well near chart poles) with a golden
+    line search, and the ascent stops at machine-level residuals, when a
+    step gains nothing.  The line search moves no parameter by more than
+    ASCENT_MAX_MOVE: from a coarse grid node a longer step makes B_v
+    multimodal along the line, and the search would settle on a lower
+    mode.  Returns (value, params).
     """
-    p = np.array(M.node_params(node), dtype=float)
-    half = M.axis_spacing(node).astype(float)
+    space = M.space
 
     def f(q):
         try:
@@ -156,30 +156,7 @@ def _refine_max(M, bus: BusemannFunction, node: int,
         except InputDomainError:
             return -math.inf
 
-    best = f(p)
-    for step in range(steps):
-        axis = step % M.n
-        e = np.zeros(M.n)
-        e[axis] = 1.0
-        s, val = _golden_max(lambda t: f(p + t * e), -half[axis], half[axis],
-                             15)
-        if val > best:
-            best = val
-            p = p + s * e
-        if axis == M.n - 1:
-            half *= 0.3
-    return _polish_max(M, bus, p, best, f)
-
-
-def _polish_max(M, bus, p, best, f, iters: int = 10):
-    """Natural-gradient ascent polish of the contact point.
-
-    Coordinate search conditions poorly near chart poles; following the
-    chart projection of grad B_v (steepest ascent in the surface metric)
-    is coordinate-free and converges to machine-level residuals.
-    """
-    space = M.space
-    for _ in range(iters):
+    for _ in range(ASCENT_STEPS):
         try:
             chart = M.chart(p)
         except InputDomainError:
@@ -190,8 +167,9 @@ def _polish_max(M, bus, p, best, f, iters: int = 10):
         gnorm = math.sqrt(max(float(rhs @ dp), 0.0))
         if gnorm < 1e-11:
             break
-        # golden line search along dp (ascent step ~ inverse curvature of B on M)
-        s, val = _golden_max(lambda t: f(p + t * dp), 0.0, 4.0, 20)
+        # ascent step ~ inverse curvature of B on M, capped in parameter space
+        t_max = min(4.0, ASCENT_MAX_MOVE / float(np.max(np.abs(dp))))
+        s, val = _golden_max(lambda t: f(p + t * dp), 0.0, t_max, 20)
         if val <= best:
             break
         best = val
@@ -220,27 +198,20 @@ def _contact_node_data(M, o: Point, bus: BusemannFunction, handle, value,
 
 
 def first_contact(M, o: Point, v: Tangent,
-                  measure_jacobian: bool = False,
-                  grid_node_data: bool = False) -> ContactRecord:
-    """Contact level c_v = max_M B_v and second-order data at the maximizers.
+                  measure_jacobian: bool = False) -> ContactRecord:
+    """Contact level c_v = max_M B_v and second-order data at the maximizer.
 
-    The representative record is evaluated at the golden-section-refined
-    off-grid contact point; with grid_node_data=True the grid nodes tied
-    with the grid maximum (within tie_tol) are appended for diagnostics.
+    The maximizer is found by natural-gradient ascent from the grid node
+    with the largest B_v, and the contact record is evaluated at that
+    off-grid point.
     """
     bus = BusemannFunction(M.space, o, v)
     vals = np.asarray(bus.value_many(M.points_stack()))
-    best_node = int(np.argmax(vals))
-    grid_max = float(vals[best_node])
-    refined, p_ref = _refine_max(M, bus, best_node)
-    c_v = max(grid_max, refined)
-    tie_tol = TIE_TOL_BASE * (1.0 + abs(c_v))
-    nodes = [_contact_node_data(M, o, bus, p_ref, c_v, measure_jacobian)]
-    if grid_node_data:
-        for idx in np.flatnonzero(vals >= grid_max - tie_tol):
-            nodes.append(_contact_node_data(M, o, bus, int(idx),
-                                            float(vals[idx]), measure_jacobian))
-    return ContactRecord(v=v, c_v=c_v, tie_tol=tie_tol, nodes=nodes)
+    node = int(np.argmax(vals))
+    c_v, p = _ascend_max(M, bus, M.node_params(node), float(vals[node]))
+    return ContactRecord(
+        v=v, c_v=c_v, tie_tol=TIE_TOL_BASE * (1.0 + abs(c_v)),
+        contact=_contact_node_data(M, o, bus, p, c_v, measure_jacobian))
 
 
 def _measure_jacobian(M, node: int, o: Point, data):
@@ -272,54 +243,48 @@ def sweep_directions(space: SymmetricSpace, o: Point, count: int, seed: int):
 
 def jacobian_check(M, o: Point, contact: ContactRecord,
                    diameter: float | None = None) -> VerificationReport:
-    """Supporting conditions and the Gauss-map Jacobian bound at contact nodes.
+    """Supporting conditions and the Gauss-map Jacobian bound at the contact.
 
-    At each contact node: A - Hess B_v >= -1e-6, Hess B_v >= -1e-8 (both as
-    minimum eigenvalues), and the measured J = |det dS_M| obeys
-    J <= e^{n(n+1) kappa D} |GK| (1 + 1e-3).  Stencil-inconsistent nodes
-    (one-sided differentials) are excluded from the Jacobian comparison,
-    mirroring the almost-everywhere scope of the area formula.
+    A - Hess B_v >= -1e-6, Hess B_v >= -1e-8 (both as minimum eigenvalues),
+    and the measured J = |det dS_M| obeys J <= e^{n(n+1) kappa D} |GK|
+    (1 + 1e-3).  A stencil-inconsistent contact node (one-sided
+    differentials) is excluded from the Jacobian comparison, mirroring the
+    almost-everywhere scope of the area formula.
     """
     t0 = time.perf_counter()
     space = M.space
     n = M.n
     kappa = space.curvature_lower_bound
     d = diameter if diameter is not None else M.diameter_extrinsic()
-    lip = math.exp(n * (n + 1) * kappa * d)
-    worst_margin = math.inf
-    lhs = rhs = 0.0
-    ok = True
-    excluded = 0
-    for cn in contact.nodes:
-        if cn.eig_min_support < EIG_FLOOR_SUPPORT:
-            ok = False
-        if cn.eig_min_hessian < EIG_FLOOR_HESS:
-            ok = False
-        if cn.jacobian is None or not cn.stencil_ok:
-            excluded += 1
-            continue
-        bound = lip * abs(cn.GK) * (1.0 + JAC_SLACK)
-        margin = bound - cn.jacobian
-        if margin < worst_margin:
-            worst_margin, lhs, rhs = margin, cn.jacobian, bound
+    cn = contact.contact
+    ok = not (cn.eig_min_support < EIG_FLOOR_SUPPORT
+              or cn.eig_min_hessian < EIG_FLOOR_HESS)
+    excluded = cn.jacobian is None or not cn.stencil_ok
+    lhs = rhs = margin = 0.0
+    if not excluded:
+        lhs = cn.jacobian
+        rhs = math.exp(n * (n + 1) * kappa * d) * abs(cn.GK) * (1.0 + JAC_SLACK)
+        margin = rhs - lhs
         if margin < 0.0:
             ok = False
-    if worst_margin == math.inf:
-        worst_margin = 0.0
     return _report(
         "jacobian", M, space, diameter=d, lhs=lhs, rhs=rhs,
-        margin=worst_margin, passed=ok,
+        margin=margin, passed=ok,
         tolerances={"eig_floor_support": EIG_FLOOR_SUPPORT,
                     "eig_floor_hessian": EIG_FLOOR_HESS,
                     "jacobian_slack": JAC_SLACK},
         seed=0, runtime_ms=(time.perf_counter() - t0) * 1e3,
-        details={"contact_nodes": len(contact.nodes),
-                 "stencil_excluded": excluded})
+        details={"stencil_excluded": excluded})
 
 
 def contact_sweep(M, o: Point, count: int = SWEEP_COUNT, seed: int = 42,
                   measure_jacobian: bool = False):
-    """First-contact records for a deterministic sweep of directions."""
+    """First-contact records for a deterministic sweep of directions.
+
+    A sweep of no directions proves nothing and is an input error.
+    """
+    if count < 1:
+        raise InputDomainError("the contact sweep needs sweep_count >= 1")
     return [first_contact(M, o, v, measure_jacobian=measure_jacobian)
             for v in sweep_directions(M.space, o, count, seed)]
 
@@ -331,15 +296,13 @@ def contact_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     Every direction must be matched (S_M residual <= 1e-3 at its contact
     point) and the supporting eigenvalue floors must hold there.
     """
-    if sweep_count < 1:
-        raise InputDomainError("the contact sweep needs sweep_count >= 1")
     t0 = time.perf_counter()
     worst_resid = 0.0
     worst_support = math.inf
     worst_hess = math.inf
     failures = 0
     for rec in contact_sweep(M, o, sweep_count, seed):
-        cn = rec.representative
+        cn = rec.contact
         worst_resid = max(worst_resid, cn.s_residual)
         worst_support = min(worst_support, cn.eig_min_support)
         worst_hess = min(worst_hess, cn.eig_min_hessian)
@@ -367,29 +330,26 @@ def jacobian_sweep_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     nodes were stencil-excluded (a sweep that measured nothing proves
     nothing).
     """
-    if sweep_count < 1:
-        raise InputDomainError("the jacobian sweep needs sweep_count >= 1")
     t0 = time.perf_counter()
+    records = contact_sweep(M, o, sweep_count, seed, measure_jacobian=True)
     d = M.diameter_extrinsic()
     worst = None
     ok = True
-    nodes = excluded = 0
-    for rec in contact_sweep(M, o, sweep_count, seed, measure_jacobian=True):
+    excluded = 0
+    for rec in records:
         rep = jacobian_check(M, o, rec, diameter=d)
         ok = ok and rep.passed
-        nodes += rep.details["contact_nodes"]
         excluded += rep.details["stencil_excluded"]
         if worst is None or rep.margin < worst.margin:
             worst = rep
-    measured = nodes - excluded
-    ok = ok and measured > 0 and excluded <= STENCIL_EXCLUDED_MAX * nodes
-    out = _report(
+    measured = sweep_count - excluded
+    ok = ok and measured > 0 and excluded <= STENCIL_EXCLUDED_MAX * sweep_count
+    return _report(
         "jacobian", M, M.space, diameter=d, lhs=worst.lhs, rhs=worst.rhs,
         margin=worst.margin, passed=ok, tolerances=worst.tolerances,
         seed=seed, runtime_ms=(time.perf_counter() - t0) * 1e3,
-        details={"sweep_count": sweep_count, "contact_nodes": nodes,
-                 "measured": measured, "stencil_excluded": excluded})
-    return out
+        details={"sweep_count": sweep_count, "measured": measured,
+                 "stencil_excluded": excluded})
 
 
 def total_curvature_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
@@ -401,9 +361,8 @@ def total_curvature_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     form of "the Gauss map covers the sphere from the contact set".
     A sweep of no directions covers nothing and is an input error.
     """
-    if sweep_count < 1:
-        raise InputDomainError("the coverage sweep needs sweep_count >= 1")
     t0 = time.perf_counter()
+    records = contact_sweep(M, o, sweep_count, seed)
     space = M.space
     n = M.n
     kappa = space.curvature_lower_bound
@@ -412,8 +371,8 @@ def total_curvature_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     rhs = math.exp(-n * (n + 1) * kappa * d) * sphere_area(n)
     sweep_failures = 0
     worst_resid = 0.0
-    for rec in contact_sweep(M, o, sweep_count, seed):
-        resid = min(cn.s_residual for cn in rec.nodes)
+    for rec in records:
+        resid = rec.contact.s_residual
         worst_resid = max(worst_resid, resid)
         if resid > RESID_TOL:
             sweep_failures += 1

@@ -96,12 +96,39 @@ def test_sweep_format(capsys, fmt):
     assert records[0]["jacobian"] is None
 
 
-@pytest.mark.parametrize("check", ["contact", "total-curvature"])
-def test_empty_sweep_exit_two(capsys, check):
-    rc = main(["verify", check, "--space", "euclidean:3", "--grid", "6x12",
-               "--sweep-count", "0"])
+@pytest.mark.parametrize("argv", [["verify", "contact", "--sweep-count", "0"],
+                                  ["verify", "total-curvature",
+                                   "--sweep-count", "0"],
+                                  ["sweep", "--count", "0"],
+                                  ["sweep", "--count", "-2"]],
+                         ids=["contact", "total-curvature", "sweep",
+                              "sweep-negative"])
+def test_empty_sweep_exit_two(capsys, argv):
+    rc = main(argv + ["--space", "euclidean:3", "--grid", "6x12"])
     assert rc == 2
-    assert "sweep_count >= 1" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "sweep_count >= 1" in err
+
+
+@pytest.mark.parametrize("space,grid", [("euclidean:3", "0x8"),
+                                        ("spd:3", "0^4")])
+def test_empty_grid_exit_two(capsys, space, grid):
+    rc = main(["verify", "total-curvature", "--space", space, "--grid", grid,
+               "--sweep-count", "1"])
+    assert rc == 2
+    assert "at least one node per axis" in capsys.readouterr().err
+
+
+def test_negative_seed_exit_two(tmp_path, capsys):
+    argv = ["verify", "total-curvature", "--space", "euclidean:3",
+            "--grid", "6x12", "--sweep-count", "1"]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    path = tmp_path / "suite.cfg"
+    path.write_text("seed = -1\n")
+    assert main(argv + ["--config", str(path)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_reports_byte_stable_modulo_runtime():

@@ -26,7 +26,8 @@ def h3():
 def test_parse_grid():
     assert parse_grid("64x128", 2) == [64, 128]
     assert parse_grid("8^4", 4) == [8, 8, 8, 8]
-    for bad, n in (("64x128", 4), ("8^3", 4), ("abc", 2)):
+    for bad, n in (("64x128", 4), ("8^3", 4), ("abc", 2), ("0x8", 2),
+                   ("4x0", 2), ("0^4", 4)):
         with pytest.raises(ConfigError):
             parse_grid(bad, n)
 

@@ -43,6 +43,16 @@ def test_exp_log_roundtrip(space):
                 < 1e-8 * (1.0 + space.norm(v)))
 
 
+def test_log_near_base_point(space):
+    # -kappa^2 <x, y> - 1 cancels to rounding noise at d ~ 1e-8 on H^n
+    rng = np.random.default_rng(3)
+    o = space.origin()
+    v = space.random_unit_tangent(o, rng)
+    for d in (1e-10, 1e-6):
+        w = space.log_map(o, space.exp_map(o, space.scale(v, d)))
+        assert space.norm(space.add(w, space.scale(v, -d))) < 1e-4 * d
+
+
 def test_distance_matches_log_norm(space):
     rng = np.random.default_rng(1)
     o = space.origin()

@@ -5,24 +5,7 @@ import pytest
 
 from horocurv.errors import NotPSDError
 from horocurv.numeric_kernel import (SymMatrix, mat_log_spd, op_norm, psd_sqrt,
-                                     spd_inv_sqrt, sym_eig, sym_exp)
-
-
-def test_sym_eig_diagonal():
-    # [TRIVIAL] diag(3, 1) has eigenvalues (3, 1), identity eigenvectors
-    w, q = sym_eig(np.diag([3.0, 1.0]))
-    assert np.allclose(w, [3.0, 1.0])
-    assert np.allclose(np.abs(q), np.eye(2))
-
-
-def test_sym_eig_reconstructs():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        g = rng.standard_normal((5, 5))
-        a = 0.5 * (g + g.T)
-        w, q = sym_eig(a)
-        assert np.all(np.diff(w) <= 1e-12)
-        assert np.max(np.abs((q * w) @ q.T - a)) < 1e-12 * (1 + op_norm(a))
+                                     spd_inv_sqrt, sym_exp)
 
 
 def test_psd_sqrt_squares_back():

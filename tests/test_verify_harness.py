@@ -40,7 +40,7 @@ def test_first_contact_euclidean_sphere(e3, e3_sphere):
         v = e3.random_unit_tangent(o, rng)
         rec = vh.first_contact(e3_sphere, o, v)
         assert abs(rec.c_v - 1.0) < 1e-9
-        cn = rec.representative
+        cn = rec.contact
         assert cn.s_residual < 1e-6
         x = e3_sphere.point_at(cn.node)
         x_coords = np.asarray(x.parts[0])
@@ -48,22 +48,30 @@ def test_first_contact_euclidean_sphere(e3, e3_sphere):
         assert np.max(np.abs(x_coords + v_coords)) < 1e-6
 
 
-def test_first_contact_h3_sphere(h3, h3_sphere):
-    # [DERIVED] on-ray identity: c_v = r, contact at the -v pole
-    o = h3.origin()
-    v = h3.random_unit_tangent(o, np.random.default_rng(1))
-    rec = vh.first_contact(h3_sphere, o, v)
-    assert abs(rec.c_v - 1.0) < 1e-9
-    assert rec.representative.s_residual < 1e-6
+@pytest.mark.parametrize("spec,r,grid", [("euclidean:3", 1.0, [24, 48]),
+                                         ("hyperbolic:3,kappa=1", 1.0, [24, 48]),
+                                         ("spd:3", 0.5, [3] * 4)],
+                         ids=["e3", "h3", "spd3"])
+def test_first_contact_sphere_closed_form(spec, r, grid):
+    # [DERIVED] on-ray identity: on the geodesic sphere of radius r about o,
+    # c_v = r for every v, with the contact at the -v pole.  The coarse SPD
+    # grid starts the ascent far from the contact point, where an uncapped
+    # line search settles on a lower mode of B_v.
+    space = parse_space(spec)
+    o = space.origin()
+    M = geodesic_sphere(space, o, r, grid)
+    for seed in (1, 2, 3):
+        for rec in vh.contact_sweep(M, o, 10, seed):
+            assert abs(rec.c_v - r) < 1e-12
+            assert rec.contact.s_residual < 1e-6
 
 
 def test_supporting_conditions(h3, h3_sphere):
     o = h3.origin()
     v = h3.random_unit_tangent(o, np.random.default_rng(2))
-    rec = vh.first_contact(h3_sphere, o, v, grid_node_data=True)
-    for cn in rec.nodes:
-        assert cn.eig_min_support >= vh.EIG_FLOOR_SUPPORT
-        assert cn.eig_min_hessian >= vh.EIG_FLOOR_HESS
+    cn = vh.first_contact(h3_sphere, o, v).contact
+    assert cn.eig_min_support >= vh.EIG_FLOOR_SUPPORT
+    assert cn.eig_min_hessian >= vh.EIG_FLOOR_HESS
 
 
 def test_jacobian_h3_closed_forms(h3, h3_sphere):
@@ -72,7 +80,7 @@ def test_jacobian_h3_closed_forms(h3, h3_sphere):
     o = h3.origin()
     v = h3.random_unit_tangent(o, np.random.default_rng(3))
     rec = vh.first_contact(h3_sphere, o, v, measure_jacobian=True)
-    cn = rec.representative
+    cn = rec.contact
     assert cn.stencil_ok
     assert abs(cn.jacobian - 1.0 / math.sinh(1.0) ** 2) < 1e-4
     assert abs(cn.GK - 1.0 / math.tanh(1.0) ** 2) < 1e-4
@@ -86,7 +94,7 @@ def test_jacobian_euclidean_equality(e3, e3_sphere):
     o = e3.origin()
     v = e3.random_unit_tangent(o, np.random.default_rng(4))
     rec = vh.first_contact(e3_sphere, o, v, measure_jacobian=True)
-    cn = rec.representative
+    cn = rec.contact
     assert abs(cn.jacobian - 1.0) < 1e-5
     rep = vh.jacobian_check(e3_sphere, o, rec)
     assert rep.passed
@@ -245,10 +253,11 @@ def test_jacobian_sweep_fails_when_nothing_measured(e3, monkeypatch):
 
 
 @pytest.mark.parametrize("check", [vh.jacobian_sweep_check, vh.contact_check,
-                                   vh.total_curvature_check],
-                         ids=["jacobian", "contact", "total-curvature"])
+                                   vh.total_curvature_check, vh.contact_sweep],
+                         ids=["jacobian", "contact", "total-curvature",
+                              "contact-sweep"])
 def test_empty_sweep_is_input_error(e3, check):
     # a sweep of no directions proves nothing: rejected, not passed
     M = geodesic_sphere(e3, e3.origin(), 1.0, [12, 24])
     with pytest.raises(InputDomainError):
-        check(M, e3.origin(), sweep_count=0)
+        check(M, e3.origin(), 0)
