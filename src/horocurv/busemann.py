@@ -6,15 +6,16 @@ Closed forms per factor:
 * Hyperbolic -- logarithm of the Minkowski pairing with the ideal point
   o + v/kappa; Hessian kappa*(Id - grad (x) grad).
 * SPD -- the principal-minor (Iwasawa) formula for the value and its
-  analytic gradient; the Hessian is the PSD square root of the squared
-  ad operator of the gradient, restricted to p and rescaled for the
-  metric scale.
+  analytic gradient; the Hessian sqrt(ad_u^2)|_p of the translated
+  gradient u is a Schur product with the root gaps |mu_i - mu_j| of u,
+  from one eigendecomposition (no ad matrices, no PSD square root).
 
 For a product direction v = sum_f c_f v_f (v_f factor-unit, sum c_f^2 = 1)
 the value is sum_f c_f B_{v_f}(x_f) and the Hessian is block diagonal with
 weights c_f.  Each factor's direction data (`bus_data`: the ideal point of
 a hyperbolic direction, the translated and diagonalized SPD direction) is
-computed once, when the function is built.
+computed once, when the function is built.  `value` and `gradient` accept
+a Point of factor stacks as well as a single point.
 
 Every closed form is cross-validated in the test suite against
 `truncated_oracle`, which only uses distances along the defining ray
@@ -30,7 +31,7 @@ from scipy.linalg import block_diag
 
 from .errors import InputDomainError, OracleFailure
 from .model_spaces import Point, SymmetricSpace, Tangent
-from .numeric_kernel import SymMatrix, richardson_limit, spd_inv_sqrt
+from .numeric_kernel import SymMatrix, richardson_limit
 
 TOL_TRUNC = 1e-8
 T_MAX = 2 ** 10
@@ -63,43 +64,26 @@ class BusemannFunction:
 
     # -- closed forms ---------------------------------------------------------
 
-    def value(self, x: Point) -> float:
-        return float(self.value_many(x.parts))
-
-    def value_many(self, parts_stacks) -> np.ndarray:
-        """Vectorized value over a stack of points (list of factor stacks)."""
-        return np.asarray(sum(
-            c * f.bus_value(data, xs)
-            for f, xs, c, data in zip(self.space.factors, parts_stacks,
-                                      self.weights, self.data) if c > 0.0))
+    def value(self, x: Point):
+        """B_v(x): a float for one point, an array for a Point of stacks."""
+        total = sum(c * f.bus_value(data, xs)
+                    for f, xs, c, data in zip(self.space.factors, x.parts,
+                                              self.weights, self.data)
+                    if c > 0.0)
+        return float(total) if np.ndim(total) == 0 else total
 
     def gradient(self, x: Point) -> Tangent:
-        parts = []
-        for f, xp, c, data in zip(self.space.factors, x.parts, self.weights,
-                                  self.data):
-            if c > 0.0:
-                parts.append(c * f.bus_grad(data, xp))
-            else:
-                parts.append(np.zeros_like(np.asarray(xp, dtype=float)))
-        return Tangent(self.space, x, tuple(parts))
+        return Tangent(self.space, x, tuple(
+            c * f.bus_grad(data, xp) if c > 0.0 else np.zeros(np.shape(xp))
+            for f, xp, c, data in zip(self.space.factors, x.parts,
+                                      self.weights, self.data)))
 
     def hessian(self, x: Point) -> SymMatrix:
         """Hessian as a matrix in frame_at(x) coordinates (block diagonal)."""
-        blocks = []
-        for f, xp, c, data in zip(self.space.factors, x.parts, self.weights,
-                                  self.data):
-            if c == 0.0 or f.kind == "euclidean":
-                blocks.append(np.zeros((f.dim, f.dim)))
-                continue
-            if f.kind == "hyperbolic":
-                g_coords = f.to_coords(xp, f.bus_grad(data, xp))
-                blocks.append(c * f.kappa * (np.eye(f.dim) - np.outer(g_coords, g_coords)))
-            else:  # spd
-                grad = f.bus_grad(data, xp)
-                xs, xsi = spd_inv_sqrt(xp)
-                u0 = xsi @ grad @ xsi
-                blocks.append(c * f.hess_matrix_identity_frame(0.5 * (u0 + u0.T)))
-        return SymMatrix(block_diag(*blocks))
+        return SymMatrix(block_diag(*(
+            c * f.bus_hess(data, xp) if c > 0.0 else np.zeros((f.dim, f.dim))
+            for f, xp, c, data in zip(self.space.factors, x.parts,
+                                      self.weights, self.data))))
 
     # -- independent truncation oracle -----------------------------------------
 

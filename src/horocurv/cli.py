@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
 configuration (unparseable spec, unknown check, unknown config key,
-negative seed, empty sweep, unwritable output).  Reports are byte-stable
-across reruns except the runtime_ms field.
+negative seed, sample count or dimension, empty sweep, unwritable
+output).  Reports are byte-stable across reruns except the runtime_ms
+field.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def render_sweep_json(records) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_common(p, *count_aliases):
     # the options of SuiteConfig are absent unless given (its fields hold the
     # defaults), so a flag wins over --config even when it repeats a default
     unset = argparse.SUPPRESS
@@ -240,7 +241,8 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=unset)
     p.add_argument("--samples", type=int, default=unset,
                    help="sample count for sampled checks (0 = default)")
-    p.add_argument("--sweep-count", type=int, default=unset)
+    p.add_argument("--sweep-count", *count_aliases, dest="sweep_count",
+                   type=int, default=unset, help="number of sweep directions")
     p.add_argument("--radius", type=float, default=unset)
     p.add_argument("--dim", type=int, default=unset,
                    help="matrix dimension for audits (0 = default)")
@@ -266,10 +268,9 @@ def build_parser():
                     help="det-audit and/or sqrt-audit (default: both)")
     _add_common(pa)
     ps = sub.add_parser("sweep", help="per-direction contact records")
-    ps.add_argument("--count", type=int, default=vh.SWEEP_COUNT)
     ps.add_argument("--jacobian", action="store_true",
                     help="also measure the Gauss-map Jacobian per direction")
-    _add_common(ps)
+    _add_common(ps, "--count")
     return ap
 
 
@@ -285,8 +286,10 @@ def config_from_args(args) -> SuiteConfig:
     for f in fields(SuiteConfig):
         if f.name != "checks" and hasattr(args, f.name):
             setattr(cfg, f.name, getattr(args, f.name))
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    for name in ("seed", "samples", "dim"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(
+                f"{name} must be non-negative, got {getattr(cfg, name)}")
     return cfg
 
 
@@ -297,7 +300,7 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         if args.command == "sweep":
             _, o, M = _build_surface(cfg)
-            records = vh.contact_sweep(M, o, args.count, cfg.seed,
+            records = vh.contact_sweep(M, o, cfg.sweep_count, cfg.seed,
                                        measure_jacobian=args.jacobian)
             render = (render_sweep_csv if cfg.format == "csv"
                       else render_sweep_json)

@@ -7,6 +7,10 @@ per factor are used and every result is gated by the definitional
 residual |grad B_v(x) - u|; `translate_direction_ray` is the independent
 asymptotic-ray construction used for cross-validation.
 
+`gauss_differential` is the differential of the Gauss map
+S_M(x) = G^x_o(nu(x)) from central differences over one stacked stencil
+chart; there is no one-sided fallback.
+
 Sign convention: grad B_v(o) = -v, so G^o_o(u) = -u; this matches the
 Euclidean case (v = -u everywhere) and the on-ray identity.
 """
@@ -93,42 +97,22 @@ def gauss_map_at(M, node, o: Point, tol_gauss: float = TOL_GAUSS) -> Tangent:
     return translate_direction(M.space, o, x, nu, tol_gauss=tol_gauss)
 
 
-@dataclass
-class DifferentialResult:
-    value: Tangent          # dS_M(w) as a tangent at o
-    one_sided: bool         # True if the central stencil was unusable
-
-
-def differential_fd(M, node, o: Point, w, h: float = H_FD) -> DifferentialResult:
-    """Central finite difference of S_M along the chart curve with velocity w.
-
-    Both S_M values already live in T_oN, so the difference quotient is
-    taken directly in frame_at(o) coordinates.  If one side of the stencil
-    fails (chart degeneracy or translation failure), falls back to a
-    one-sided stencil and flags it.
-    """
-    space = M.space
-    curve = M.curve_through(node, w)
-
-    def s_at(s):
-        x, nu = curve(s)
-        v = translate_direction(space, o, x, nu)
-        return space.tangent_to_coords(v)
-
-    c0 = None
-    try:
-        cp, cm = s_at(h), s_at(-h)
-        coords = (cp - cm) / (2.0 * h)
-        one_sided = False
-    except (InputDomainError, TranslationFailure):
-        c0 = s_at(0.0)
-        try:
-            coords = (s_at(h) - c0) / h
-        except (InputDomainError, TranslationFailure):
-            coords = (c0 - s_at(-h)) / h
-        one_sided = True
-    return DifferentialResult(value=space.coords_to_tangent(o, coords),
-                              one_sided=one_sided)
+def gauss_differential(M, node, o: Point, onb_coords) -> np.ndarray:
+    """dS_M on the legs onb_coords (n, n+1) of T_xM: (n+1, n) in frame_at(o)
+    coordinates.  Column i is the central difference of S_M over the node
+    parameters p +- h c_i (h = H_FD), c_i the chart velocity of leg i, with
+    all 2n stencil charts from one stacked `M.chart` call."""
+    space, h = M.space, H_FD
+    chart = M.chart_at(node)
+    vel = np.linalg.solve(chart["gram"], chart["tangents"] @ onb_coords.T)
+    steps = h * vel.T[:, None, :] * np.array([1.0, -1.0])[:, None]
+    st = M.chart(M.node_params(node) + steps)
+    s = np.empty(steps.shape[:2] + (space.total_dim,))
+    for idx in np.ndindex(steps.shape[:2]):
+        x = Point(space, tuple(p[idx] for p in st["x"].parts))
+        s[idx] = space.tangent_to_coords(translate_direction(
+            space, o, x, space.coords_to_tangent(x, st["nu"][idx])))
+    return ((s[:, 0] - s[:, 1]) / (2.0 * h)).T
 
 
 @dataclass

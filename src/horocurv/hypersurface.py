@@ -266,11 +266,6 @@ class FundamentalData:
     def nu(self) -> Tangent:
         return self.x.space.coords_to_tangent(self.x, self.nu_coords)
 
-    @property
-    def onb(self) -> list:
-        return [self.x.space.coords_to_tangent(self.x, c)
-                for c in self.onb_coords]
-
 
 class Hypersurface:
     """A closed starshaped hypersurface about `center` on a quadrature grid.
@@ -466,21 +461,6 @@ class Hypersurface:
     def area_weights(self) -> np.ndarray:
         """All area weights (chart-tangent evaluation only, no shape FD)."""
         return self.param_weights * self._grid_chart()["jacobian"]
-
-    # -- Gauss-map plumbing -------------------------------------------------------
-
-    def curve_through(self, node, w: Tangent):
-        """Chart curve s -> (point, normal) through `node` with velocity w."""
-        chart = self.chart_at(node)
-        rhs = chart["tangents"] @ self.space.tangent_to_coords(w)
-        vel = np.linalg.solve(chart["gram"], rhs)
-        p0 = self.node_params(node)
-
-        def curve(s):
-            c = self.chart(p0 + s * vel) if s != 0.0 else chart
-            return c["x"], self.space.coords_to_tangent(c["x"], c["nu"])
-
-        return curve
 
     # -- integrals and global quantities --------------------------------------------
 

@@ -12,18 +12,19 @@ A `SymmetricSpace` is an ordered product of factors:
 Points and tangents are stored per factor.  All closed forms (exp, log,
 transport, exp differential) are exact up to rounding.  The factor
 `project_point`, `exp`, `dexp`, `transport`, `dist`, `frame`, `to_coords`,
-`from_coords` and `bus_value` accept stacks of points, tangents or
-coordinates along leading axes, ``(..., d+1)`` hyperboloid and
-``(..., n, n)`` SPD arrays, broadcasting them against each other; the SPD
-`dexp` is the Daleckii-Krein divided-difference formula on one batched
-eigendecomposition.  The factor `exp` does not project (far out on a ray
-the constraint check loses all precision while the coordinates stay
-accurate); `exp_map` repairs the constraint drift by projecting once, and
-the hyperboloid projection lifts the time coordinate from the spatial part,
-which stays accurate at any distance.
+`from_coords`, `bus_value`, `bus_grad` and `bus_hess` accept stacks of
+points, tangents or coordinates along leading axes, ``(..., d+1)``
+hyperboloid and ``(..., n, n)`` SPD arrays, broadcasting them against each
+other; the SPD `dexp` is the Daleckii-Krein divided-difference formula on
+one batched eigendecomposition.  The factor `exp` does not project (far
+out on a ray the constraint check loses all precision while the
+coordinates stay accurate); `exp_map` repairs the constraint drift by
+projecting once, and the hyperboloid projection lifts the time coordinate
+from the spatial part, which stays accurate at any distance.
 
 Each factor's Busemann closed forms take the direction data of
-`bus_data(o, v)`, computed once per direction.
+`bus_data(o, v)`, computed once per direction; `bus_hess` is the Hessian
+matrix in frame coordinates.
 """
 
 from __future__ import annotations
@@ -135,7 +136,10 @@ class EuclideanFactor:
         return -(xs - o) @ v
 
     def bus_grad(self, data, x):
-        return -data[1]
+        return np.zeros(np.shape(x)) - data[1]
+
+    def bus_hess(self, data, x):
+        return np.zeros(np.shape(x)[:-1] + (self.dim, self.dim))
 
     def bus_trunc_value(self, data, x, t):
         o, v = data
@@ -228,7 +232,11 @@ class HyperbolicFactor:
 
     def dist(self, xs, y):
         z = np.maximum(-self.kappa ** 2 * self.minkowski(xs, y), 1.0)
-        return np.arccosh(z) / self.kappa
+        # near y, z - 1 cancels as in `log`: take d from the chord there
+        w = xs - y
+        chord = np.sqrt(np.maximum(self.minkowski(w, w), 0.0))
+        return np.where(z > 2.0, np.arccosh(z),
+                        2.0 * np.arcsinh(0.5 * self.kappa * chord)) / self.kappa
 
     def transport(self, x, y, v):
         k2 = self.kappa ** 2
@@ -294,7 +302,11 @@ class HyperbolicFactor:
     def bus_grad(self, data, x):
         k = self.kappa
         p = data[2]
-        return p / (k * self.minkowski(x, p)) + k * x
+        return p / (k * self.minkowski(x, p))[..., None] + k * x
+
+    def bus_hess(self, data, x):
+        g = self.to_coords(x, self.bus_grad(data, x))
+        return self.kappa * (np.eye(self.dim) - g[..., :, None] * g[..., None, :])
 
     def bus_trunc_value(self, data, x, t):
         """d(x, gamma_v(t)) - t evaluated in the log domain (no overflow)."""
@@ -341,12 +353,10 @@ class SPDFactor:
             raise ConfigError("SPD metric scale must be positive")
         self.lam = float(lam)
         self.dim = n * (n + 1) // 2 - 1
-        # g-orthonormal frame of the tangent space at the identity: the
-        # beta_theta-orthonormal basis of p, rescaled for g = lam * beta
-        self._frame_identity = np.stack([
-            2.0 * m / math.sqrt(self.lam)
-            for m in self.algebra.p_basis_matrices()])
-        self._p_dim = self.algebra.p_dim
+        # the beta_theta-orthonormal basis of p, and the g-orthonormal frame
+        # of the tangent space at the identity it gives for g = lam * beta
+        self._p_basis = np.stack(self.algebra.p_basis_matrices())
+        self._frame_identity = 2.0 * self._p_basis / math.sqrt(self.lam)
 
     def spec(self):
         return f"spd:{self.n},lambda={_fmt(self.lam)}"
@@ -459,54 +469,60 @@ class SPDFactor:
     # Busemann closed forms (Iwasawa principal-minor formula) ----------------
 
     def bus_data(self, o, v):
-        """Translate (o, v) to the identity and diagonalize the direction."""
+        """Translate (o, v) to the identity and diagonalize the direction
+        (eigenvalues delta decreasing; minor weights delta_i - delta_i+1)."""
         osq, osi = spd_inv_sqrt(o)
         v0 = osi @ v @ osi
         delta, k = np.linalg.eigh(0.5 * (v0 + v0.T))
         order = np.argsort(delta)[::-1]
         delta, k = delta[order], k[:, order]
-        breaks = [i for i in range(self.n - 1) if delta[i] - delta[i + 1] > 1e-12]
-        return osq, osi, delta, k, breaks
+        return osq, osi, delta, k, delta[:-1] - delta[1:]
 
     def bus_value(self, data, xs):
-        osq, osi, delta, k, breaks = data
+        osq, osi, delta, k, weights = data
         x0 = osi @ xs @ osi
         s = k.T @ np.linalg.inv(x0) @ k
         total = np.zeros(s.shape[:-2])
-        for i in breaks:
+        for i, w in enumerate(weights):
             _, logdet = np.linalg.slogdet(s[..., :i + 1, :i + 1])
-            total = total + (delta[i] - delta[i + 1]) * logdet
+            total = total + w * logdet
         return self.metric_coef() * total
 
     def bus_grad(self, data, x):
-        osq, osi, delta, k, breaks = data
+        osq, osi, delta, k, weights = data
         x0 = osi @ x @ osi
         s = k.T @ np.linalg.inv(x0) @ k
-        g0 = np.zeros((self.n, self.n))
-        for i in breaks:
-            blk = np.zeros((self.n, self.n))
-            blk[:i + 1, :i + 1] = np.linalg.inv(s[:i + 1, :i + 1])
-            g0 -= (delta[i] - delta[i + 1]) * (k @ blk @ k.T)
-        g0 = 0.5 * (g0 + g0.T)
+        g0 = np.zeros(s.shape)
+        for i, w in enumerate(weights):
+            blk = np.zeros(s.shape)
+            blk[..., :i + 1, :i + 1] = np.linalg.inv(s[..., :i + 1, :i + 1])
+            g0 -= w * (k @ blk @ k.T)
+        g0 = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
         g = osq @ g0 @ osq
         # the minor formula lives on the det = 1 slice only; remove the
         # component normal to the slice (the trace direction x)
-        g = g - (np.trace(np.linalg.solve(x, g)) / self.n) * x
-        return g
+        tr = np.trace(np.linalg.solve(x, g), axis1=-2, axis2=-1)
+        return g - (tr / self.n)[..., None, None] * x
 
-    def hess_matrix_identity_frame(self, u0):
-        """Hessian operator sqrt(ad_u^2)|_p in the identity frame coordinates.
+    def bus_hess(self, data, x):
+        """Hess B_v = sqrt(ad_u^2)|_p (Heintze and Im Hof, 1977), one eigh.
 
-        `u0` is the gradient translated to the identity (g-unit, symmetric
-        traceless).  Valid in the frame of `self._frame_identity`; the frame
-        at a general point is the isometric pushforward of that frame, in
-        which the matrix is unchanged.
+        u = Q diag(mu) Q^T is the gradient translated to the identity as a
+        beta-unit algebra element; sqrt(ad_u^2) is the Schur product
+        S(E) = Q (|mu_i - mu_j| o Q^T E Q) Q^T, whose matrix in the
+        beta_theta-orthonormal p basis m_a is 2n tr(m_a S(m_b)) / sqrt(lam),
+        the same in the pushed-forward frame at x.
         """
-        from .numeric_kernel import psd_sqrt
-        u_beta = 0.5 * math.sqrt(self.lam) * u0  # beta-unit algebra representative
-        ad = self.algebra.ad_matrix_ortho(u_beta)
-        a2 = (ad @ ad)[:self._p_dim, :self._p_dim]
-        return psd_sqrt(0.5 * (a2 + a2.T)).a / math.sqrt(self.lam)
+        xsi = spd_inv_sqrt(x)[1]
+        u0 = xsi @ self.bus_grad(data, x) @ xsi
+        mu, q = np.linalg.eigh(0.25 * math.sqrt(self.lam)
+                               * (u0 + np.swapaxes(u0, -1, -2)))
+        gap = np.abs(mu[..., :, None] - mu[..., None, :])
+        qt = np.swapaxes(q, -1, -2)[..., None, :, :]
+        c = ((qt @ self._p_basis @ q[..., None, :, :])
+             * np.sqrt(2.0 * self.n / math.sqrt(self.lam) * gap)[..., None, :, :])
+        c = c.reshape(c.shape[:-2] + (-1,))
+        return c @ np.swapaxes(c, -1, -2)      # H_ab as a Gram matrix
 
     def bus_trunc_value(self, data, x, t):
         """d(x, gamma_v(t)) - t via overflow-safe log-eigenvalues.

@@ -28,7 +28,7 @@ import numpy as np
 
 from .busemann import BusemannFunction
 from .errors import InputDomainError, TranslationFailure
-from .gauss_map import differential_fd, translate_direction
+from .gauss_map import gauss_differential, translate_direction
 from .lie_structure import MatrixLieAlgebra
 from .model_spaces import Point, SymmetricSpace, Tangent
 from .numeric_kernel import op_norm, psd_sqrt
@@ -65,8 +65,8 @@ class ContactNode:
     eig_min_support: float        # min eigenvalue of A - Hess B_v on T_xM
     eig_min_hessian: float        # min eigenvalue of Hess B_v (ambient)
     GK: float
-    jacobian: float | None        # |det dS_M| on T_xM; None if unmeasurable
-    stencil_ok: bool              # central stencils held on every frame leg
+    jacobian: float | None        # |det dS_M| on T_xM; None if unmeasured
+    stencil_ok: bool              # False iff a requested jacobian failed
 
 
 @dataclass
@@ -188,13 +188,12 @@ def _contact_node_data(M, o: Point, bus: BusemannFunction, handle, value,
     hess_tan = data.onb_coords @ hess @ data.onb_coords.T
     eig_support = float(np.min(np.linalg.eigvalsh(data.A.a - hess_tan)))
     eig_hess = float(np.min(np.linalg.eigvalsh(hess)))
-    jac, stencil_ok = None, True
-    if measure_jacobian:
-        jac, stencil_ok = _measure_jacobian(M, handle, o, data)
+    jac = _measure_jacobian(M, handle, o, data) if measure_jacobian else None
     return ContactNode(
         node=handle, value=value, s_residual=resid,
         eig_min_support=eig_support, eig_min_hessian=eig_hess,
-        GK=data.GK, jacobian=jac, stencil_ok=stencil_ok)
+        GK=data.GK, jacobian=jac,
+        stencil_ok=jac is not None or not measure_jacobian)
 
 
 def first_contact(M, o: Point, v: Tangent,
@@ -206,7 +205,7 @@ def first_contact(M, o: Point, v: Tangent,
     off-grid point.
     """
     bus = BusemannFunction(M.space, o, v)
-    vals = np.asarray(bus.value_many(M.points_stack()))
+    vals = bus.value(Point(M.space, tuple(M.points_stack())))
     node = int(np.argmax(vals))
     c_v, p = _ascend_max(M, bus, M.node_params(node), float(vals[node]))
     return ContactRecord(
@@ -214,21 +213,14 @@ def first_contact(M, o: Point, v: Tangent,
         contact=_contact_node_data(M, o, bus, p, c_v, measure_jacobian))
 
 
-def _measure_jacobian(M, node: int, o: Point, data):
-    """|det dS_M| on an orthonormal frame of T_xM; None if S_M fails there."""
-    space = M.space
-    cols, one_sided = [], False
+def _measure_jacobian(M, node, o: Point, data):
+    """|det dS_M| = sqrt(det W^T W) on the orthonormal frame of T_xM in
+    `data`; None if a stencil chart or translation fails there."""
     try:
-        for e in data.onb:
-            res = differential_fd(M, node, o, e)
-            one_sided = one_sided or res.one_sided
-            cols.append(space.tangent_to_coords(res.value))
+        w = gauss_differential(M, node, o, data.onb_coords)
     except (InputDomainError, TranslationFailure):
-        return None, False
-    w = np.stack(cols, axis=1)
-    gram = w.T @ w
-    det = float(np.linalg.det(gram))
-    return math.sqrt(max(det, 0.0)), not one_sided
+        return None
+    return math.sqrt(max(float(np.linalg.det(w.T @ w)), 0.0))
 
 
 def sweep_directions(space: SymmetricSpace, o: Point, count: int, seed: int):
@@ -247,9 +239,9 @@ def jacobian_check(M, o: Point, contact: ContactRecord,
 
     A - Hess B_v >= -1e-6, Hess B_v >= -1e-8 (both as minimum eigenvalues),
     and the measured J = |det dS_M| obeys J <= e^{n(n+1) kappa D} |GK|
-    (1 + 1e-3).  A stencil-inconsistent contact node (one-sided
-    differentials) is excluded from the Jacobian comparison, mirroring the
-    almost-everywhere scope of the area formula.
+    (1 + 1e-3).  A contact node whose Jacobian could not be measured (a
+    stencil chart or translation failed) is excluded from the Jacobian
+    comparison, mirroring the almost-everywhere scope of the area formula.
     """
     t0 = time.perf_counter()
     space = M.space
@@ -259,7 +251,7 @@ def jacobian_check(M, o: Point, contact: ContactRecord,
     cn = contact.contact
     ok = not (cn.eig_min_support < EIG_FLOOR_SUPPORT
               or cn.eig_min_hessian < EIG_FLOOR_HESS)
-    excluded = cn.jacobian is None or not cn.stencil_ok
+    excluded = cn.jacobian is None
     lhs = rhs = margin = 0.0
     if not excluded:
         lhs = cn.jacobian

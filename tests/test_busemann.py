@@ -7,7 +7,10 @@ import pytest
 
 from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
-from horocurv.model_spaces import parse_space
+from horocurv.model_spaces import Point, parse_space
+from horocurv.numeric_kernel import psd_sqrt, spd_inv_sqrt
+
+SPD_SPECS = ["spd:2", "spd:3", "spd:4,lambda=2.5"]
 
 
 def _random_setup(spec, seed, radius=1.5):
@@ -143,16 +146,88 @@ def test_hessian_norm_within_curvature_bound():
         assert opn <= space.curvature_lower_bound + 1e-6
 
 
-def test_value_many_matches_scalar():
+def test_value_on_stacks_matches_scalar():
     space, o, v, _ = _random_setup("euclidean:1xhyperbolic:2,kappa=0.8xspd:2", 13)
     rng = np.random.default_rng(14)
     bus = BusemannFunction(space, o, v)
     pts = [space.random_point(o, rng, 1.5) for _ in range(6)]
-    stacks = [np.stack([p.parts[j] for p in pts])
-              for j in range(len(space.factors))]
-    vals = bus.value_many(stacks)
+    stacks = tuple(np.stack([p.parts[j] for p in pts])
+                   for j in range(len(space.factors)))
+    vals = bus.value(Point(space, stacks))
+    assert vals.shape == (6,)
     for i, p in enumerate(pts):
-        assert abs(vals[i] - bus.value(p)) < 1e-12
+        value = bus.value(p)
+        assert isinstance(value, float)
+        assert abs(vals[i] - value) < 1e-12
+
+
+def _spd_gradient_at_identity(f, data, x):
+    """The Busemann gradient at x translated to the identity, beta-unit."""
+    xsi = spd_inv_sqrt(x)[1]
+    u0 = xsi @ f.bus_grad(data, x) @ xsi
+    return 0.25 * math.sqrt(f.lam) * (u0 + u0.T)
+
+
+def _ad_oracle_hessian(f, data, x):
+    """sqrt(ad_u^2)|_p through the generic ad matrix and a PSD square root.
+
+    Its own error is about 1e-8: the zero eigenvalues of ad_u^2 come out
+    as +-1e-16, and their square roots as 1e-8.
+    """
+    ad = f.algebra.ad_matrix_ortho(_spd_gradient_at_identity(f, data, x))
+    p = f.algebra.p_dim
+    a2 = (ad @ ad)[:p, :p]
+    return psd_sqrt(0.5 * (a2 + a2.T)).a / math.sqrt(f.lam)
+
+
+def _spd_factor_samples(spec, seed, count=50):
+    space = parse_space(spec)
+    f = space.factors[0]
+    rng = np.random.default_rng(seed)
+    o = space.origin()
+    for _ in range(count):
+        v = space.random_unit_tangent(o, rng)
+        x = space.random_point(o, rng, 2.0)
+        yield f, f.bus_data(o.parts[0], v.parts[0]), x.parts[0]
+
+
+@pytest.mark.parametrize("spec", SPD_SPECS)
+def test_spd_hessian_matches_ad_oracle(spec):
+    # the closed form against the ad-operator path, above that path's own
+    # ~1.2e-8 error
+    for f, data, x in _spd_factor_samples(spec, 17):
+        closed = f.bus_hess(data, x)
+        assert np.max(np.abs(closed - _ad_oracle_hessian(f, data, x))) < 5e-8
+
+
+@pytest.mark.parametrize("spec", SPD_SPECS)
+def test_spd_hessian_eigenvalues_are_root_gaps(spec):
+    # [DERIVED] sqrt(ad_u^2)|_p has eigenvalues |mu_i - mu_j| (i < j), and
+    # n - 1 exact zeros on the flat through u, all over sqrt(lam)
+    for f, data, x in _spd_factor_samples(spec, 18, count=20):
+        mu = np.linalg.eigvalsh(_spd_gradient_at_identity(f, data, x))
+        i, j = np.triu_indices(f.n, 1)
+        gaps = np.abs(mu[i] - mu[j]) / math.sqrt(f.lam)
+        expected = np.sort(np.concatenate([gaps, np.zeros(f.n - 1)]))
+        evals = np.linalg.eigvalsh(f.bus_hess(data, x))
+        assert np.max(np.abs(evals - expected)) < 1e-12
+
+
+def test_spd_tied_direction_against_oracle():
+    # v ~ diag(2, -1, -1) has a repeated eigenvalue: its middle minor weight
+    # is zero, and value and gradient still match the truncation oracle
+    space = parse_space("spd:3")
+    o = space.origin()
+    v = space.tangent(o, (np.diag([2.0, -1.0, -1.0]),))
+    v = space.scale(v, 1.0 / space.norm(v))
+    f = space.factors[0]
+    assert f.bus_data(o.parts[0], v.parts[0])[4][1] == 0.0
+    bus = BusemannFunction(space, o, v)
+    x = space.random_point(o, np.random.default_rng(19), 1.5)
+    assert abs(bus.value(x) - bus.truncated_value(x)) < 1e-7
+    diff = space.add(bus.gradient(x),
+                     space.scale(bus.truncated_oracle(x, "gradient"), -1.0))
+    assert space.norm(diff) < 1e-6
 
 
 def test_lipschitz_continuity_in_x():

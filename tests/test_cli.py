@@ -1,7 +1,11 @@
 """CLI: exit codes, report schema, determinism, config round trip."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,74 @@ def test_negative_seed_exit_two(tmp_path, capsys):
     path.write_text("seed = -1\n")
     assert main(argv + ["--config", str(path)]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+_NEGATIVE = [(["verify", "hessian-oracle", "--space", "spd:3"], "samples", -1),
+             (["verify", "lipschitz", "--space", "hyperbolic:3,kappa=1"],
+              "samples", -3),
+             (["verify", "hessian-bounds", "--space", "spd:3"], "samples", -2),
+             (["audit", "det-audit"], "samples", -4),
+             (["audit", "sqrt-audit"], "samples", -2),
+             (["audit", "det-audit"], "dim", -3)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv,key,value", _NEGATIVE,
+                         ids=["hessian-oracle", "lipschitz", "hessian-bounds",
+                              "det-audit", "sqrt-audit", "det-audit-dim"])
+def test_negative_samples_or_dim_exit_two(tmp_path, capsys, argv, key, value,
+                                          source):
+    # zero samples would report lhs 0.0 and pass, a negative dim crashed
+    if source == "flag":
+        extra = [f"--{key}", str(value)]
+    else:
+        path = tmp_path / "suite.cfg"
+        path.write_text(f"{key} = {value}\n")
+        extra = ["--config", str(path)]
+    assert main(argv + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{key} must be non-negative" in err
+
+
+def _sweep_rows(capsys, argv):
+    assert main(["sweep", "--space", "euclidean:3", "--grid", "6x12"]
+                + argv) == 0
+    return len(capsys.readouterr().out.strip().splitlines()) - 1
+
+
+def test_sweep_count_spellings(tmp_path, capsys):
+    # --sweep-count, --count and the sweep_count config key set one option;
+    # a flag wins over the config file
+    assert _sweep_rows(capsys, ["--sweep-count", "2"]) == 2
+    assert _sweep_rows(capsys, ["--count", "2"]) == 2
+    path = tmp_path / "sweep.cfg"
+    path.write_text("sweep_count = 3\n")
+    assert _sweep_rows(capsys, ["--config", str(path)]) == 3
+    assert _sweep_rows(capsys, ["--config", str(path), "--count", "1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--jacobian", "--space", "euclidean:3", "--grid", "4x8",
+     "--count", "1"],
+    ["audit", "det-audit", "--samples", "5", "--dim", "2"]],
+    ids=["sweep-jacobian", "det-audit"])
+def test_traced_cli_smoke(argv):
+    # perfbench/tracer.py wraps library names and hooks some of them; a
+    # renamed or retyped hooked name shows here as a failing traced run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src")]
+                   + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py")] + argv,
+        capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    trace = [line for line in proc.stderr.splitlines()
+             if line.startswith("PERFBENCH-TRACE ")]
+    assert len(trace) == 1
 
 
 def test_reports_byte_stable_modulo_runtime():

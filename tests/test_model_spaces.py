@@ -53,6 +53,16 @@ def test_log_near_base_point(space):
         assert space.norm(space.add(w, space.scale(v, -d))) < 1e-4 * d
 
 
+def test_dist_near_base_point(space):
+    # -kappa^2 <x, y> - 1 cancels to rounding noise at d ~ 1e-8 on H^n
+    rng = np.random.default_rng(3)
+    o = space.origin()
+    v = space.random_unit_tangent(o, rng)
+    for d in (1e-10, 1e-8, 1e-6, 1e-3):
+        x = space.exp_map(o, space.scale(v, d))
+        assert abs(space.distance(o, x) - d) < 1e-4 * d
+
+
 def test_distance_matches_log_norm(space):
     rng = np.random.default_rng(1)
     o = space.origin()

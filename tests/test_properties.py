@@ -1,12 +1,18 @@
 """Property tests: stacked factor operations equal their per-point results.
 
 Every factor operation that accepts stacks (project_point, exp, dexp,
-transport, dist, bus_value, frame, to_coords, from_coords) is run on random
-stacks of 1-8 points and compared with the same call point by point.  The
-exp differential is also checked against central differences of exp (and,
-on SPD, against scipy's expm_frechet as an independent oracle) and parallel
-transport as an isometry.  Examples are derandomized so the suite stays
-deterministic.
+transport, dist, bus_value, bus_grad, bus_hess, frame, to_coords,
+from_coords) is run on random stacks of 1-8 points and compared with the
+same call point by point.  The exp differential is also checked against
+central differences of exp (and, on SPD, against scipy's expm_frechet as
+an independent oracle) and parallel transport as an isometry.  Examples
+are derandomized so the suite stays deterministic.
+
+`derandomize=True` alone does not pin the examples: Hypothesis (6.131 and
+later) also draws literals it mines from the source of every loaded local
+module, so a new constant anywhere in src/ or tests/ would change them.
+The pool of mined literals is therefore emptied before any test runs; the
+built-in constants Hypothesis ships with still take part.
 """
 
 import numpy as np
@@ -18,6 +24,13 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from horocurv.busemann import BusemannFunction  # noqa: E402
 from horocurv.model_spaces import parse_space  # noqa: E402
+
+try:
+    from hypothesis.internal.conjecture import providers as _providers
+except ImportError:            # no mined-literal pool in this version
+    _providers = None
+if hasattr(_providers, "_get_local_constants"):
+    _providers._get_local_constants = _providers.Constants
 
 SPECS = ["euclidean:3", "hyperbolic:3,kappa=1.5", "spd:3",
          "euclidean:1xhyperbolic:2,kappa=0.8xspd:2"]
@@ -66,7 +79,7 @@ def test_space_stack_matches_points(setup):
     bus = (BusemannFunction(space, o, space.scale(v, 1.0 / nrm))
            if nrm > 1e-3 else None)
     dists = space.distance_many(xs.parts, x)
-    values = bus.value_many(xs.parts) if bus else None
+    values = bus.value(xs) if bus else None
     for i, ci in enumerate(cs):
         xi = _points(space, ci)
         vi = space.coords_to_tangent(x, ci)
@@ -102,6 +115,8 @@ def test_factor_stacks_over_base_points(setup):
         nrm = np.sqrt(max(f.inner(of, u, u), 0.0))
         data = f.bus_data(of, u / nrm) if nrm > 1e-3 else None
         values = f.bus_value(data, xf) if data else None
+        grads = f.bus_grad(data, xf) if data else None
+        hessians = f.bus_hess(data, xf) if data else None
         for i in range(k):
             vi = f.from_coords(xf[i], cf[i])
             _close(vf[i], vi)
@@ -112,6 +127,8 @@ def test_factor_stacks_over_base_points(setup):
             _close(dists[i], f.dist(xf[i], xf[0]))
             if values is not None:
                 _close(values[i], f.bus_value(data, xf[i]))
+                _close(grads[i], f.bus_grad(data, xf[i]))
+                _close(hessians[i], f.bus_hess(data, xf[i]))
 
 
 @PROPERTY

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from horocurv import verify_harness as vh
-from horocurv.errors import InputDomainError
+from horocurv.errors import InputDomainError, TranslationFailure
 from horocurv.hypersurface import geodesic_sphere, radial_graph
 from horocurv.model_spaces import parse_space
 from horocurv.numeric_kernel import op_norm, psd_sqrt
@@ -74,19 +74,26 @@ def test_supporting_conditions(h3, h3_sphere):
     assert cn.eig_min_hessian >= vh.EIG_FLOOR_HESS
 
 
-def test_jacobian_h3_closed_forms(h3, h3_sphere):
+def test_jacobian_h3_closed_forms(h3, h3_sphere, e3, e3_sphere):
     # [DERIVED] on H^3 sphere r=1: J = 1/sinh^2(1), GK = coth^2(1),
-    # so J/GK = 1/cosh^2(1) <= 1 <= e^{12}
+    # so J/GK = 1/cosh^2(1) <= 1 <= e^{12}; on the unit E^3 sphere J = 1,
+    # for every sweep direction of seeds 1-3
     o = h3.origin()
-    v = h3.random_unit_tangent(o, np.random.default_rng(3))
-    rec = vh.first_contact(h3_sphere, o, v, measure_jacobian=True)
-    cn = rec.contact
-    assert cn.stencil_ok
-    assert abs(cn.jacobian - 1.0 / math.sinh(1.0) ** 2) < 1e-4
-    assert abs(cn.GK - 1.0 / math.tanh(1.0) ** 2) < 1e-4
-    rep = vh.jacobian_check(h3_sphere, o, rec)
-    assert rep.passed
-    assert rep.margin > 0.0
+    d = h3_sphere.diameter_extrinsic()
+    for seed in (1, 2, 3):
+        for rec in vh.contact_sweep(h3_sphere, o, 10, seed,
+                                    measure_jacobian=True):
+            cn = rec.contact
+            assert cn.stencil_ok
+            assert abs(cn.jacobian - 1.0 / math.sinh(1.0) ** 2) < 1e-4
+            assert abs(cn.GK - 1.0 / math.tanh(1.0) ** 2) < 1e-4
+            rep = vh.jacobian_check(h3_sphere, o, rec, diameter=d)
+            assert rep.passed
+            assert rep.margin > 0.0
+        for rec in vh.contact_sweep(e3_sphere, e3.origin(), 10, seed,
+                                    measure_jacobian=True):
+            assert rec.contact.stencil_ok
+            assert abs(rec.contact.jacobian - 1.0) < 1e-5
 
 
 def test_jacobian_euclidean_equality(e3, e3_sphere):
@@ -245,11 +252,28 @@ def test_jacobian_sweep_fails_when_nothing_measured(e3, monkeypatch):
     assert rep.passed
     assert rep.details["measured"] == 3
     monkeypatch.setattr(vh, "_measure_jacobian",
-                        lambda M, node, o, data: (None, False))
+                        lambda M, node, o, data: None)
     rep = vh.jacobian_sweep_check(M, e3.origin(), sweep_count=3)
     assert not rep.passed
     assert rep.details["measured"] == 0
     assert rep.details["stencil_excluded"] == 3
+
+
+def test_unmeasured_jacobian_clears_stencil_ok(e3, e3_sphere, monkeypatch):
+    # stencil_ok is 0 exactly when a requested Jacobian could not be
+    # measured, and jacobian_check leaves that contact out
+    o = e3.origin()
+    v = e3.random_unit_tangent(o, np.random.default_rng(5))
+    assert vh.first_contact(e3_sphere, o, v).contact.stencil_ok
+
+    def fail(*args):
+        raise TranslationFailure("stencil translation failed")
+
+    monkeypatch.setattr(vh, "gauss_differential", fail)
+    rec = vh.first_contact(e3_sphere, o, v, measure_jacobian=True)
+    assert rec.contact.jacobian is None
+    assert not rec.contact.stencil_ok
+    assert vh.jacobian_check(e3_sphere, o, rec).details["stencil_excluded"]
 
 
 @pytest.mark.parametrize("check", [vh.jacobian_sweep_check, vh.contact_check,
