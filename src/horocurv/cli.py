@@ -7,10 +7,11 @@ Subcommands:
 * sweep -- per-direction contact records as CSV/JSON.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
-configuration (unparseable spec, unknown check, unknown config key,
-negative seed, sample count or dimension, empty sweep, unwritable
-output).  Reports are byte-stable across reruns except the runtime_ms
-field.
+configuration (unparseable spec or config value, a flag the subcommand
+does not read, unknown check, config key or report format, negative
+seed, sample count, dimension or node count, empty sweep, non-sphere
+isoperimetric surface, unwritable output).  Reports are byte-stable
+across reruns except the runtime_ms field.
 """
 
 from __future__ import annotations
@@ -84,15 +85,14 @@ def parse_config_text(text: str, defaults: SuiteConfig | None = None
     for f in fields(SuiteConfig):
         if f.name in raw:
             v = raw.pop(f.name)
-            cfg.__dict__[f.name] = f.type(v) if callable(f.type) else v
+            kind = {"int": int, "float": float}.get(f.type, str)
+            try:
+                setattr(cfg, f.name, kind(v))
+            except ValueError:
+                raise ConfigError(f"config key {f.name} = {v!r} is not a "
+                                  f"valid {f.type}") from None
     if raw:
         raise HorocurvError(f"unknown config keys: {sorted(raw)}")
-    cfg.seed = int(cfg.seed)
-    cfg.samples = int(cfg.samples)
-    cfg.sweep_count = int(cfg.sweep_count)
-    cfg.dim = int(cfg.dim)
-    cfg.min_nodes = int(cfg.min_nodes)
-    cfg.radius = float(cfg.radius)
     return cfg
 
 
@@ -144,6 +144,9 @@ def run_suite(cfg: SuiteConfig):
             r = cfg.radius
             if cfg.surface:
                 prof = parse_surface(cfg.surface)
+                if prof.amp != 0.0:
+                    raise ConfigError("isoperimetric runs on geodesic balls; "
+                                      f"surface {cfg.surface!r} is no sphere")
                 r = prof.base
             counts = (parse_grid(cfg.grid, space.total_dim - 1)
                       if cfg.grid else None)
@@ -228,27 +231,33 @@ def render_sweep_json(records) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p, *count_aliases):
+_AUDIT_OPTIONS = ("seed", "samples", "dim", "output", "format")
+_SWEEP_OPTIONS = ("space", "surface", "grid", "seed", "sweep_count", "output",
+                  "format")
+
+
+def _add_common(p, names, *count_aliases):
     # the options of SuiteConfig are absent unless given (its fields hold the
     # defaults), so a flag wins over --config even when it repeats a default
-    unset = argparse.SUPPRESS
-    p.add_argument("--space", default=unset, help="space spec, e.g. "
-                   "hyperbolic:3,kappa=1 or spd:3xeuclidean:2")
-    p.add_argument("--surface", default=unset,
-                   help="geodesic-sphere:r=R or "
-                        "radial-graph:base=R,mode=M,amp=A")
-    p.add_argument("--grid", default=unset, help="LATxLON (n=2) or K^N (n>=3)")
-    p.add_argument("--seed", type=int, default=unset)
-    p.add_argument("--samples", type=int, default=unset,
-                   help="sample count for sampled checks (0 = default)")
-    p.add_argument("--sweep-count", *count_aliases, dest="sweep_count",
-                   type=int, default=unset, help="number of sweep directions")
-    p.add_argument("--radius", type=float, default=unset)
-    p.add_argument("--dim", type=int, default=unset,
-                   help="matrix dimension for audits (0 = default)")
-    p.add_argument("--min-nodes", type=int, default=unset)
-    p.add_argument("--output", default=unset, help="report path ('-' = stdout)")
-    p.add_argument("--format", default=unset, choices=("json", "csv"))
+    def add(flag, *aliases, **kw):
+        if flag[2:].replace("-", "_") in names:
+            p.add_argument(flag, *aliases, default=argparse.SUPPRESS, **kw)
+
+    add("--space", help="space spec, e.g. "
+        "hyperbolic:3,kappa=1 or spd:3xeuclidean:2")
+    add("--surface", help="geodesic-sphere:r=R or "
+        "radial-graph:base=R,mode=M,amp=A")
+    add("--grid", help="LATxLON (n=2) or K^N (n>=3)")
+    add("--seed", type=int)
+    add("--samples", type=int,
+        help="sample count for sampled checks (0 = default)")
+    add("--sweep-count", *count_aliases, dest="sweep_count", type=int,
+        help="number of sweep directions")
+    add("--radius", type=float)
+    add("--dim", type=int, help="matrix dimension for audits (0 = default)")
+    add("--min-nodes", type=int)
+    add("--output", help="report path ('-' = stdout)")
+    add("--format", choices=("json", "csv"))
     p.add_argument("--config", default="", help="key = value config file")
 
 
@@ -261,16 +270,16 @@ def build_parser():
     pv = sub.add_parser("verify", help="run named verification checks")
     pv.add_argument("checks", nargs="+", metavar="CHECK",
                     help=f"one of: {', '.join(CHECK_NAMES)}")
-    _add_common(pv)
+    _add_common(pv, [f.name for f in fields(SuiteConfig)])
     pa = sub.add_parser("audit", help="standalone matrix inequality audits")
     pa.add_argument("checks", nargs="*", metavar="AUDIT",
                     default=["det-audit", "sqrt-audit"],
                     help="det-audit and/or sqrt-audit (default: both)")
-    _add_common(pa)
+    _add_common(pa, _AUDIT_OPTIONS)
     ps = sub.add_parser("sweep", help="per-direction contact records")
     ps.add_argument("--jacobian", action="store_true",
                     help="also measure the Gauss-map Jacobian per direction")
-    _add_common(ps, "--count")
+    _add_common(ps, _SWEEP_OPTIONS, "--count")
     return ap
 
 
@@ -286,10 +295,12 @@ def config_from_args(args) -> SuiteConfig:
     for f in fields(SuiteConfig):
         if f.name != "checks" and hasattr(args, f.name):
             setattr(cfg, f.name, getattr(args, f.name))
-    for name in ("seed", "samples", "dim"):
+    for name in ("seed", "samples", "dim", "min_nodes"):
         if getattr(cfg, name) < 0:
             raise ConfigError(
                 f"{name} must be non-negative, got {getattr(cfg, name)}")
+    if cfg.format not in ("json", "csv"):
+        raise ConfigError(f"unknown report format {cfg.format!r}")
     return cfg
 
 

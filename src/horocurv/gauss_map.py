@@ -8,8 +8,9 @@ residual |grad B_v(x) - u|; `translate_direction_ray` is the independent
 asymptotic-ray construction used for cross-validation.
 
 `gauss_differential` is the differential of the Gauss map
-S_M(x) = G^x_o(nu(x)) from central differences over one stacked stencil
-chart; there is no one-sided fallback.
+S_M(x) = G^x_o(nu(x)) from central differences over the stencil of the
+shape operator at x (`Hypersurface.fundamental_forms`); it evaluates no
+chart of its own and has no one-sided fallback.
 
 Sign convention: grad B_v(o) = -v, so G^o_o(u) = -u; this matches the
 Euclidean case (v = -u everywhere) and the on-ray identity.
@@ -30,7 +31,6 @@ from .numeric_kernel import richardson_limit
 TOL_GAUSS = 1e-5
 TOL_RAY = 1e-8
 RAY_T_MAX = 2 ** 10
-H_FD = 1e-4
 LIPSCHITZ_SLACK = 1e-4
 _WEIGHT_EPS = 1e-12
 
@@ -90,29 +90,18 @@ def translate_direction_ray(space: SymmetricSpace, o: Point, x: Point,
         last_iterates=(res.limit, res.last_estimate))
 
 
-def gauss_map_at(M, node, o: Point, tol_gauss: float = TOL_GAUSS) -> Tangent:
-    """S_M(x) = G^x_o(nu(x)) for a grid node of the hypersurface M."""
-    x = M.point_at(node)
-    nu = M.normal_at(node)
-    return translate_direction(M.space, o, x, nu, tol_gauss=tol_gauss)
-
-
-def gauss_differential(M, node, o: Point, onb_coords) -> np.ndarray:
-    """dS_M on the legs onb_coords (n, n+1) of T_xM: (n+1, n) in frame_at(o)
-    coordinates.  Column i is the central difference of S_M over the node
-    parameters p +- h c_i (h = H_FD), c_i the chart velocity of leg i, with
-    all 2n stencil charts from one stacked `M.chart` call."""
-    space, h = M.space, H_FD
-    chart = M.chart_at(node)
-    vel = np.linalg.solve(chart["gram"], chart["tangents"] @ onb_coords.T)
-    steps = h * vel.T[:, None, :] * np.array([1.0, -1.0])[:, None]
-    st = M.chart(M.node_params(node) + steps)
-    s = np.empty(steps.shape[:2] + (space.total_dim,))
-    for idx in np.ndindex(steps.shape[:2]):
-        x = Point(space, tuple(p[idx] for p in st["x"].parts))
+def gauss_differential(space: SymmetricSpace, o: Point, stencil) -> np.ndarray:
+    """dS_M on the orthonormal legs of T_xM: (n+1, n) in frame_at(o)
+    coordinates.  `stencil` is the shape-operator stencil of
+    `Hypersurface.fundamental_forms`, whose leg i steps along onb_coords[i];
+    column i is the central difference of S_M over its two points."""
+    x, nu = stencil["x"], stencil["nu"]
+    s = np.empty_like(nu)
+    for idx in np.ndindex(nu.shape[:2]):
+        xi = Point(space, tuple(p[idx] for p in x.parts))
         s[idx] = space.tangent_to_coords(translate_direction(
-            space, o, x, space.coords_to_tangent(x, st["nu"][idx])))
-    return ((s[:, 0] - s[:, 1]) / (2.0 * h)).T
+            space, o, xi, space.coords_to_tangent(xi, nu[idx])))
+    return ((s[:, 0] - s[:, 1]) / (2.0 * stencil["h"])).T
 
 
 @dataclass

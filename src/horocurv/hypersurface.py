@@ -20,8 +20,8 @@ matrices, Jacobians and unit normals, through the stack-capable factor
 `exp`, `dexp` and coordinate maps.  The shape operators of all grid nodes
 come from two such calls per block of nodes, one at the nodes and one at
 their 2n finite-difference stencil parameters, followed by one stacked
-parallel transport; an off-grid point is a stack of one through the same
-code.
+parallel transport; an off-grid point goes through the same code with no
+leading axes, and its stencil also serves the Gauss-map Jacobian.
 """
 
 from __future__ import annotations
@@ -226,9 +226,8 @@ def _join(values):
 
 
 def _join_forms(blocks) -> "FundamentalData":
-    return FundamentalData(**{
-        f.name: None if f.name == "node" else _join([getattr(b, f.name) for b in blocks])
-        for f in fields(FundamentalData)})
+    return FundamentalData(**{f.name: _join([getattr(b, f.name) for b in blocks])
+                              for f in fields(FundamentalData)})
 
 
 @dataclass
@@ -241,7 +240,6 @@ class FundamentalData:
     Coordinates are taken in the orthonormal frame at x.
     """
 
-    node: object              # grid index, parameters, or None for a stack
     x: Point
     nu_coords: np.ndarray     # (..., n+1) unit normal
     onb_coords: np.ndarray    # (..., n, n+1) orthonormal basis of T_xM
@@ -253,7 +251,7 @@ class FundamentalData:
 
     def __getitem__(self, i) -> "FundamentalData":
         return FundamentalData(
-            node=i, x=_take(self.x, i), nu_coords=self.nu_coords[i],
+            x=_take(self.x, i), nu_coords=self.nu_coords[i],
             onb_coords=self.onb_coords[i], a=self.a[i], GK=float(self.GK[i]),
             H=float(self.H[i]), area_weight=float(self.area_weight[i]),
             sym_residual=float(self.sym_residual[i]))
@@ -271,9 +269,9 @@ class Hypersurface:
     """A closed starshaped hypersurface about `center` on a quadrature grid.
 
     Grid quantities are evaluated as stacks, _BLOCK nodes per batched call,
-    and cached: the chart of every node (`chart_at`, `area_weights`) and
-    the fundamental data of every node (`grid_forms`, `fundamental_forms`,
-    `integrate`).
+    and cached: the chart of every node (`grid_chart`, `area_weights`) and
+    the fundamental data of every node (`grid_forms`, `integrate`).
+    `fundamental_forms` evaluates one off-grid point from its chart.
     """
 
     def __init__(self, space: SymmetricSpace, center: Point,
@@ -367,35 +365,16 @@ class Hypersurface:
         """Embedding point only (no chart tangents) -- cheap evaluator."""
         return self._evaluate(params)[0]
 
-    def node_params(self, node):
-        """Parameters for a node handle: grid index or explicit parameters."""
-        if isinstance(node, (int, np.integer)):
-            return self.params[node]
-        return np.asarray(node, dtype=float)
-
-    def point_at(self, node) -> Point:
-        return self.chart_at(node)["x"]
-
-    def normal_at(self, node) -> Tangent:
-        c = self.chart_at(node)
-        return self.space.coords_to_tangent(c["x"], c["nu"])
-
     def _blocks(self):
         return [slice(s, s + _BLOCK) for s in range(0, self.size, _BLOCK)]
 
-    def _grid_chart(self) -> dict:
+    def grid_chart(self) -> dict:
         """The chart of every grid node, stacked (cached)."""
         if self._chart_cache is None:
             blocks = [self.chart(self.params[b]) for b in self._blocks()]
             self._chart_cache = {k: _join([c[k] for c in blocks])
                                  for k in blocks[0]}
         return self._chart_cache
-
-    def chart_at(self, node):
-        """Chart at a grid node (a view of the grid charts) or parameters."""
-        if not isinstance(node, (int, np.integer)):
-            return self.chart(self.node_params(node))
-        return {k: _take(v, int(node)) for k, v in self._grid_chart().items()}
 
     def points_stack(self):
         """Stacked factor arrays for all nodes (for batched evaluations)."""
@@ -405,15 +384,17 @@ class Hypersurface:
 
     # -- fundamental forms ------------------------------------------------------
 
-    def _forms(self, params, base) -> FundamentalData:
-        """Fundamental data at params (..., n) from their oriented chart.
+    def _forms(self, params, base):
+        """(data, stencil) at params (..., n) from their oriented chart.
 
         The orthonormal basis is the Gram-Schmidt basis of the chart
         tangents in order, from the Cholesky factor L of their Gram matrix
         (onb = L^-1 tangents).  Column i of A is the central difference of
         the unit normal along onb_i over the stencil params +- h c_i
         (c_i the rows of L^-1), each stencil normal parallel-transported
-        back to x and its sign fixed against the base normal.
+        back to x and its sign fixed against the base normal.  The stencil
+        {"x", "nu", "h"} holds those points and sign-fixed normals, leading
+        axes (..., n, 2) for leg i and step +-h.
         """
         space = self.space
         coeffs = np.linalg.inv(np.linalg.cholesky(base["gram"]))
@@ -425,42 +406,40 @@ class Hypersurface:
             st["x"], Point(space, space.insert_axes(base["x"].parts, 2)),
             space.coords_to_tangent(st["x"], st["nu"])))
         nu = base["nu"]
-        flip = np.sum(moved * nu[..., None, None, :], axis=-1) < 0.0
-        moved = np.where(flip[..., None], -moved, moved)
+        flip = np.sum(moved * nu[..., None, None, :], axis=-1)[..., None] < 0.0
+        moved = np.where(flip, -moved, moved)
         dnu = (moved[..., 0, :] - moved[..., 1, :]) * (0.5 / h)
         a = onb @ np.swapaxes(dnu, -1, -2)
         sym_residual = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
         a = 0.5 * (a + np.swapaxes(a, -1, -2))
-        return FundamentalData(
-            node=None, x=base["x"], nu_coords=nu, onb_coords=onb, a=a,
+        data = FundamentalData(
+            x=base["x"], nu_coords=nu, onb_coords=onb, a=a,
             GK=np.linalg.det(a), H=np.trace(a, axis1=-2, axis2=-1),
             area_weight=np.zeros(a.shape[:-2]), sym_residual=sym_residual)
+        return data, {"x": st["x"], "nu": np.where(flip, -st["nu"], st["nu"]),
+                      "h": h}
 
     def grid_forms(self) -> FundamentalData:
-        """Fundamental data of every grid node, stacked (cached)."""
+        """Fundamental data of every grid node, stacked (cached); [i] is node i."""
         if self._forms_cache is None:
-            c = self._grid_chart()
+            c = self.grid_chart()
             data = _join_forms([self._forms(self.params[b],
-                                            {k: _take(v, b) for k, v in c.items()})
+                                            {k: _take(v, b) for k, v in c.items()})[0]
                                 for b in self._blocks()])
             data.area_weight = self.area_weights()
             self._forms_cache = data
         return self._forms_cache
 
-    def fundamental_forms(self, node) -> FundamentalData:
-        """Fundamental data at a grid node (a view of `grid_forms`) or at
-        explicit parameters (n,) off the grid (a stack of one, area weight
-        0)."""
-        if isinstance(node, (int, np.integer)):
-            return self.grid_forms()[int(node)]
-        p = self.node_params(node)[None]
-        data = self._forms(p, self.chart(p))[0]
-        data.node = node
-        return data
+    def fundamental_forms(self, params, chart):
+        """(data, stencil) at off-grid parameters (n,) from their chart
+        `chart(params)`: the fundamental data (area weight 0) and the
+        stencil of `_forms`, whose leg i steps along onb_coords[i]."""
+        data, stencil = self._forms(np.asarray(params, dtype=float), chart)
+        return data[()], stencil
 
     def area_weights(self) -> np.ndarray:
         """All area weights (chart-tangent evaluation only, no shape FD)."""
-        return self.param_weights * self._grid_chart()["jacobian"]
+        return self.param_weights * self.grid_chart()["jacobian"]
 
     # -- integrals and global quantities --------------------------------------------
 

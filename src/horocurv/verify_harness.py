@@ -146,7 +146,8 @@ def _ascend_max(M, bus: BusemannFunction, p, best: float):
     step gains nothing.  The line search moves no parameter by more than
     ASCENT_MAX_MOVE: from a coarse grid node a longer step makes B_v
     multimodal along the line, and the search would settle on a lower
-    mode.  Returns (value, params).
+    mode.  Returns (value, params, chart), with the chart at the final
+    params, the one chart of the contact record.
     """
     space = M.space
 
@@ -156,11 +157,8 @@ def _ascend_max(M, bus: BusemannFunction, p, best: float):
         except InputDomainError:
             return -math.inf
 
+    chart = M.chart(p)
     for _ in range(ASCENT_STEPS):
-        try:
-            chart = M.chart(p)
-        except InputDomainError:
-            break
         grad = bus.gradient(chart["x"])
         rhs = chart["tangents"] @ space.tangent_to_coords(grad)
         dp = np.linalg.solve(chart["gram"], rhs)
@@ -174,13 +172,14 @@ def _ascend_max(M, bus: BusemannFunction, p, best: float):
             break
         best = val
         p = p + s * dp
-    return best, p
+        chart = M.chart(p)
+    return best, p, chart
 
 
-def _contact_node_data(M, o: Point, bus: BusemannFunction, handle, value,
-                       measure_jacobian: bool) -> ContactNode:
+def _contact_node_data(M, o: Point, bus: BusemannFunction, params, chart,
+                       value, measure_jacobian: bool) -> ContactNode:
     space = M.space
-    data = M.fundamental_forms(handle)
+    data, stencil = M.fundamental_forms(params, chart)
     x, nu = data.x, data.nu
     grad = bus.gradient(x)
     resid = space.norm(space.add(grad, space.scale(nu, -1.0)))
@@ -188,9 +187,9 @@ def _contact_node_data(M, o: Point, bus: BusemannFunction, handle, value,
     hess_tan = data.onb_coords @ hess @ data.onb_coords.T
     eig_support = float(np.min(np.linalg.eigvalsh(data.A.a - hess_tan)))
     eig_hess = float(np.min(np.linalg.eigvalsh(hess)))
-    jac = _measure_jacobian(M, handle, o, data) if measure_jacobian else None
+    jac = _measure_jacobian(space, o, stencil) if measure_jacobian else None
     return ContactNode(
-        node=handle, value=value, s_residual=resid,
+        node=params, value=value, s_residual=resid,
         eig_min_support=eig_support, eig_min_hessian=eig_hess,
         GK=data.GK, jacobian=jac,
         stencil_ok=jac is not None or not measure_jacobian)
@@ -202,22 +201,22 @@ def first_contact(M, o: Point, v: Tangent,
 
     The maximizer is found by natural-gradient ascent from the grid node
     with the largest B_v, and the contact record is evaluated at that
-    off-grid point.
+    off-grid point, from the ascent's last chart and one stencil.
     """
     bus = BusemannFunction(M.space, o, v)
     vals = bus.value(Point(M.space, tuple(M.points_stack())))
     node = int(np.argmax(vals))
-    c_v, p = _ascend_max(M, bus, M.node_params(node), float(vals[node]))
+    c_v, p, chart = _ascend_max(M, bus, M.params[node], float(vals[node]))
     return ContactRecord(
         v=v, c_v=c_v, tie_tol=TIE_TOL_BASE * (1.0 + abs(c_v)),
-        contact=_contact_node_data(M, o, bus, p, c_v, measure_jacobian))
+        contact=_contact_node_data(M, o, bus, p, chart, c_v, measure_jacobian))
 
 
-def _measure_jacobian(M, node, o: Point, data):
-    """|det dS_M| = sqrt(det W^T W) on the orthonormal frame of T_xM in
-    `data`; None if a stencil chart or translation fails there."""
+def _measure_jacobian(space: SymmetricSpace, o: Point, stencil):
+    """|det dS_M| = sqrt(det W^T W) on the orthonormal frame of T_xM that
+    `stencil` steps along; None if a stencil translation fails."""
     try:
-        w = gauss_differential(M, node, o, data.onb_coords)
+        w = gauss_differential(space, o, stencil)
     except (InputDomainError, TranslationFailure):
         return None
     return math.sqrt(max(float(np.linalg.det(w.T @ w)), 0.0))
@@ -541,11 +540,12 @@ def gauss_consistency_check(M, o: Point, min_nodes: int = 1000,
     rng = np.random.default_rng(seed)
     nodes = (np.arange(M.size) if M.size == count
              else np.sort(rng.choice(M.size, size=count, replace=False)))
+    chart = M.grid_chart()
     worst = 0.0
     failures = 0
     for idx in nodes:
-        idx = int(idx)
-        x, nu = M.point_at(idx), M.normal_at(idx)
+        x = Point(space, tuple(p[idx] for p in chart["x"].parts))
+        nu = space.coords_to_tangent(x, chart["nu"][idx])
         try:
             v = translate_direction(space, o, x, nu)
         except TranslationFailure:

@@ -130,9 +130,17 @@ def test_negative_seed_exit_two(tmp_path, capsys):
     assert main(argv + ["--seed", "-1"]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
     path = tmp_path / "suite.cfg"
-    path.write_text("seed = -1\n")
-    assert main(argv + ["--config", str(path)]) == 2
-    assert "seed must be non-negative" in capsys.readouterr().err
+    # config values that do not parse are typed errors naming the key, and
+    # an unknown format is rejected before any check runs
+    for text, msg in (("seed = -1", "seed must be non-negative"),
+                      ("seed = 1.5", "config key seed = '1.5'"),
+                      ("samples = many", "config key samples = 'many'"),
+                      ("format = xml", "unknown report format 'xml'")):
+        path.write_text(text + "\n")
+        assert main(argv + ["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert msg in err
 
 
 _NEGATIVE = [(["verify", "hessian-oracle", "--space", "spd:3"], "samples", -1),
@@ -141,18 +149,22 @@ _NEGATIVE = [(["verify", "hessian-oracle", "--space", "spd:3"], "samples", -1),
              (["verify", "hessian-bounds", "--space", "spd:3"], "samples", -2),
              (["audit", "det-audit"], "samples", -4),
              (["audit", "sqrt-audit"], "samples", -2),
-             (["audit", "det-audit"], "dim", -3)]
+             (["audit", "det-audit"], "dim", -3),
+             (["verify", "gauss-consistency", "--space", "euclidean:3",
+               "--grid", "4x8"], "min_nodes", -5)]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("argv,key,value", _NEGATIVE,
                          ids=["hessian-oracle", "lipschitz", "hessian-bounds",
-                              "det-audit", "sqrt-audit", "det-audit-dim"])
+                              "det-audit", "sqrt-audit", "det-audit-dim",
+                              "gauss-consistency-min-nodes"])
 def test_negative_samples_or_dim_exit_two(tmp_path, capsys, argv, key, value,
                                           source):
-    # zero samples would report lhs 0.0 and pass, a negative dim crashed
+    # zero samples would report lhs 0.0 and pass, a negative dim crashed,
+    # negative min_nodes ran gauss-consistency on one node and passed
     if source == "flag":
-        extra = [f"--{key}", str(value)]
+        extra = [f"--{key.replace('_', '-')}", str(value)]
     else:
         path = tmp_path / "suite.cfg"
         path.write_text(f"{key} = {value}\n")
@@ -161,6 +173,32 @@ def test_negative_samples_or_dim_exit_two(tmp_path, capsys, argv, key, value,
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{key} must be non-negative" in err
+
+
+_UNREAD = [("audit", "--space", "euclidean:3"),
+           ("audit", "--surface", "geodesic-sphere:r=1"),
+           ("audit", "--grid", "0x0"), ("audit", "--sweep-count", "0"),
+           ("audit", "--radius", "-4"), ("audit", "--min-nodes", "-9"),
+           ("sweep", "--samples", "9"), ("sweep", "--radius", "7"),
+           ("sweep", "--dim", "4"), ("sweep", "--min-nodes", "3")]
+
+
+@pytest.mark.parametrize("command,flag,value", _UNREAD,
+                         ids=[f"{c}{f}" for c, f, _ in _UNREAD])
+def test_unread_flag_is_usage_error(capsys, command, flag, value):
+    # a subcommand accepts only the flags it reads; the rest exit 2 before
+    # any work
+    argv = ([command, "det-audit", "--samples", "5"] if command == "audit"
+            else [command, "--space", "euclidean:3", "--grid", "6x12",
+                  "--count", "1"])
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def _sweep_rows(capsys, argv):
@@ -183,8 +221,12 @@ def test_sweep_count_spellings(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--jacobian", "--space", "euclidean:3", "--grid", "4x8",
      "--count", "1"],
-    ["audit", "det-audit", "--samples", "5", "--dim", "2"]],
-    ids=["sweep-jacobian", "det-audit"])
+    ["audit", "det-audit", "--samples", "5", "--dim", "2"],
+    ["verify", "gauss-consistency", "contact", "jacobian", "--space",
+     "hyperbolic:3,kappa=1", "--surface",
+     "radial-graph:base=0.7,mode=latitude,amp=0.2", "--grid", "6x12",
+     "--sweep-count", "2", "--min-nodes", "50"]],
+    ids=["sweep-jacobian", "det-audit", "surface-checks"])
 def test_traced_cli_smoke(argv):
     # perfbench/tracer.py wraps library names and hooks some of them; a
     # renamed or retyped hooked name shows here as a failing traced run
@@ -276,6 +318,23 @@ def test_isoperimetric_report_emits(capsys):
     assert reports[0]["pass"] is True
 
 
+def test_isoperimetric_surface_must_be_sphere(capsys):
+    # the check runs on geodesic balls: a radial graph is rejected, not
+    # replaced by the sphere of its base radius; a sphere spec is --radius
+    argv = ["verify", "isoperimetric", "--space", "hyperbolic:3,kappa=1",
+            "--grid", "4x8"]
+    rc = main(argv + ["--surface", "radial-graph:base=0.5,mode=coord,amp=0.3"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "is no sphere" in err
+    scrub = lambda s: re.sub(r'"runtime_ms": [0-9.e+-]+', '"runtime_ms": 0', s)
+    assert main(argv + ["--surface", "geodesic-sphere:r=0.5"]) == 0
+    by_surface = scrub(capsys.readouterr().out)
+    assert main(argv + ["--radius", "0.5"]) == 0
+    assert scrub(capsys.readouterr().out) == by_surface
+
+
 def test_sweep_spd_fields_are_plain_numbers(capsys):
     # SPD Busemann values are numpy scalars inside the factor closed form
     rc = main(["sweep", "--space", "spd:3",
@@ -315,6 +374,12 @@ def test_sweep_honours_config(tmp_path, capsys):
     path.write_text("space = euclidean:3\ngrid = 12x24\n")
     assert main(["sweep", "--config", str(path), "--count", "1"]) == 0
     assert capsys.readouterr().out.startswith("direction,c_v")
+    # an unknown format from the file is an error, not a silent JSON report
+    path.write_text("space = euclidean:3\ngrid = 12x24\nformat = xml\n")
+    assert main(["sweep", "--config", str(path), "--count", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unknown report format 'xml'" in err
 
 
 def test_verify_flag_repeating_default_wins(tmp_path, capsys):

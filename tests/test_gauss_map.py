@@ -5,9 +5,8 @@ import pytest
 
 from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
-from horocurv.gauss_map import (gauss_differential, gauss_map_at,
-                                lipschitz_audit, translate_direction,
-                                translate_direction_ray)
+from horocurv.gauss_map import (gauss_differential, lipschitz_audit,
+                                translate_direction, translate_direction_ray)
 from horocurv.hypersurface import geodesic_sphere
 from horocurv.model_spaces import parse_space
 
@@ -102,13 +101,14 @@ def test_lipschitz_euclidean_ratio_exactly_one():
 
 
 def test_gauss_map_on_sphere_nodes():
-    # S_M on a Euclidean sphere: v = -nu-coords, unit, consistent
+    # S_M(x) = G^x_o(nu(x)) on a Euclidean sphere: v = -nu-coords
     space = parse_space("euclidean:3")
     o = space.origin()
     M = geodesic_sphere(space, o, 1.0, [8, 16])
     for node in (0, 37, 100):
-        v = gauss_map_at(M, node, o)
-        nu = M.normal_at(node)
+        d = M.grid_forms()[node]
+        nu = d.nu
+        v = translate_direction(space, o, d.x, nu)
         assert np.allclose(np.asarray(space.tangent_to_coords(v)),
                            -np.asarray(space.tangent_to_coords(nu)), atol=1e-9)
 
@@ -118,8 +118,9 @@ def test_gauss_differential_euclidean_sphere():
     space = parse_space("euclidean:3")
     o = space.origin()
     M = geodesic_sphere(space, o, 1.0, [8, 16])
-    data = M.fundamental_forms(20)
-    w = gauss_differential(M, 20, o, data.onb_coords)
+    p = M.params[20]
+    _, stencil = M.fundamental_forms(p, M.chart(p))
+    w = gauss_differential(space, o, stencil)
     assert w.shape == (3, 2)
     s = np.linalg.svd(w, compute_uv=False)
     assert np.max(np.abs(s - 1.0)) < 1e-6

@@ -50,7 +50,7 @@ def test_euclidean_sphere_area_and_forms(e3):
     # [TRIVIAL] unit sphere: area 4pi, A == identity, GK == 1, H == 2
     M = geodesic_sphere(e3, e3.origin(), 1.0, [16, 32])
     assert abs(M.integrate("area") / (4 * math.pi) - 1) < 1e-6
-    d = M.fundamental_forms(40)
+    d = M.grid_forms()[40]
     assert np.max(np.abs(d.A.a - np.eye(2))) < 1e-6
     assert abs(d.GK - 1.0) < 1e-6
     assert abs(d.H - 2.0) < 1e-6
@@ -62,7 +62,7 @@ def test_h3_sphere_closed_forms(h3):
     r = 1.0
     M = geodesic_sphere(h3, h3.origin(), r, [24, 48])
     coth = math.cosh(r) / math.sinh(r)
-    d = M.fundamental_forms(100)
+    d = M.grid_forms()[100]
     assert np.max(np.abs(d.A.a - coth * np.eye(2))) < 1e-4
     tc = M.integrate("total_curvature")
     assert abs(tc / (4 * math.pi * math.cosh(r) ** 2) - 1) < 5e-3
@@ -74,7 +74,7 @@ def test_umbilic_consistency(h3):
     # constant-curvature geodesic spheres: ||A - (trA/n) Id|| <= 1e-4
     M = geodesic_sphere(h3, h3.origin(), 0.7, [12, 24])
     for node in range(0, M.size, 37):
-        a = M.fundamental_forms(node).A.a
+        a = M.grid_forms()[node].A.a
         dev = a - np.trace(a) / 2.0 * np.eye(2)
         assert np.max(np.abs(dev)) < 1e-4
 
@@ -85,8 +85,8 @@ def test_outward_orientation(h3):
     space = h3
     o = h3.origin()
     for node in range(0, M.size, 41):
-        x = M.point_at(node)
-        nu = M.normal_at(node)
+        d = M.grid_forms()[node]
+        x, nu = d.x, d.nu
         radial = space.log_map(o, x)   # tangent at o; transport to x
         radial_x = space.parallel_transport(o, x, radial)
         assert space.inner(nu, radial_x) > 0.0
@@ -153,7 +153,7 @@ def test_spd_sphere_mesh_injective():
     # [DERIVED] embedding injectivity audit: min pairwise distance > 0
     space = parse_space("spd:3")
     M = geodesic_sphere(space, space.origin(), 0.5, [4, 4, 4, 6])
-    pts = [M.point_at(i) for i in range(0, M.size, 7)]
+    pts = [M.embed(p) for p in M.params[::7]]
     dmin = min(space.distance(p, q)
                for i, p in enumerate(pts) for q in pts[i + 1:])
     assert dmin > 1e-3
@@ -164,7 +164,7 @@ def test_product_space_surface(e3):
     M = geodesic_sphere(space, space.origin(), 0.75, [16, 32])
     area = M.integrate("area")
     assert area > 0.0
-    d = M.fundamental_forms(50)
+    d = M.grid_forms()[50]
     assert d.sym_residual < 1e-6
     assert abs(space.norm(d.nu) - 1.0) < 1e-9
 
@@ -216,8 +216,8 @@ def test_batched_forms_match_off_grid(spec, surface, grid):
     stack = M.grid_forms()
     assert stack.a.shape == (M.size, M.n, M.n)
     for i in range(M.size):
-        node = M.fundamental_forms(i)
-        off = M.fundamental_forms(M.params[i])
+        node = stack[i]
+        off, _ = M.fundamental_forms(M.params[i], M.chart(M.params[i]))
         assert off.area_weight == 0.0
         assert node.area_weight == M.area_weights()[i]
         for name in ("a", "nu_coords", "onb_coords", "GK", "H"):

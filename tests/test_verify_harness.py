@@ -7,7 +7,7 @@ import pytest
 
 from horocurv import verify_harness as vh
 from horocurv.errors import InputDomainError, TranslationFailure
-from horocurv.hypersurface import geodesic_sphere, radial_graph
+from horocurv.hypersurface import Hypersurface, geodesic_sphere, radial_graph
 from horocurv.model_spaces import parse_space
 from horocurv.numeric_kernel import op_norm, psd_sqrt
 
@@ -42,7 +42,7 @@ def test_first_contact_euclidean_sphere(e3, e3_sphere):
         assert abs(rec.c_v - 1.0) < 1e-9
         cn = rec.contact
         assert cn.s_residual < 1e-6
-        x = e3_sphere.point_at(cn.node)
+        x = e3_sphere.embed(cn.node)
         x_coords = np.asarray(x.parts[0])
         v_coords = np.asarray(e3.tangent_to_coords(v))
         assert np.max(np.abs(x_coords + v_coords)) < 1e-6
@@ -77,10 +77,15 @@ def test_supporting_conditions(h3, h3_sphere):
 def test_jacobian_h3_closed_forms(h3, h3_sphere, e3, e3_sphere):
     # [DERIVED] on H^3 sphere r=1: J = 1/sinh^2(1), GK = coth^2(1),
     # so J/GK = 1/cosh^2(1) <= 1 <= e^{12}; on the unit E^3 sphere J = 1,
-    # for every sweep direction of seeds 1-3
+    # for every sweep direction of seeds 1-3.  On the H^3 sphere r=0.5,
+    # J = 1/sinh^2(0.5) with the stencil step h = 1e-4 * 0.5.
     o = h3.origin()
     d = h3_sphere.diameter_extrinsic()
+    small = geodesic_sphere(h3, o, 0.5, [24, 48])
     for seed in (1, 2, 3):
+        for rec in vh.contact_sweep(small, o, 10, seed, measure_jacobian=True):
+            assert rec.contact.stencil_ok
+            assert abs(rec.contact.jacobian - 1.0 / math.sinh(0.5) ** 2) < 1e-4
         for rec in vh.contact_sweep(h3_sphere, o, 10, seed,
                                     measure_jacobian=True):
             cn = rec.contact
@@ -94,6 +99,31 @@ def test_jacobian_h3_closed_forms(h3, h3_sphere, e3, e3_sphere):
                                     measure_jacobian=True):
             assert rec.contact.stencil_ok
             assert abs(rec.contact.jacobian - 1.0) < 1e-5
+
+
+def test_one_chart_per_contact(h3, monkeypatch):
+    # the contact record reuses the ascent's last chart, and the Jacobian
+    # differences the shape operator's stencil: one chart at the contact
+    # parameters and one stacked stencil chart of shape (n, 2, n)
+    M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [16, 32])
+    shapes, at = [], []
+    chart = Hypersurface.chart
+
+    def counted(self, params, orient=True):
+        shapes.append(np.shape(params))
+        at.append(np.array(params, dtype=float, copy=True).reshape(-1, M.n))
+        return chart(self, params, orient)
+
+    monkeypatch.setattr(Hypersurface, "chart", counted)
+    o = h3.origin()
+    for v in vh.sweep_directions(h3, o, 3, seed=3):
+        shapes.clear()
+        at.clear()
+        cn = vh.first_contact(M, o, v, measure_jacobian=True).contact
+        assert cn.jacobian is not None
+        assert sum(p.shape[0] == 1 and np.array_equal(p[0], cn.node)
+                   for p in at) == 1
+        assert [s for s in shapes if s[-3:] == (M.n, 2, M.n)] == [(M.n, 2, M.n)]
 
 
 def test_jacobian_euclidean_equality(e3, e3_sphere):
@@ -252,7 +282,7 @@ def test_jacobian_sweep_fails_when_nothing_measured(e3, monkeypatch):
     assert rep.passed
     assert rep.details["measured"] == 3
     monkeypatch.setattr(vh, "_measure_jacobian",
-                        lambda M, node, o, data: None)
+                        lambda space, o, stencil: None)
     rep = vh.jacobian_sweep_check(M, e3.origin(), sweep_count=3)
     assert not rep.passed
     assert rep.details["measured"] == 0
