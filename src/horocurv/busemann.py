@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import InputDomainError, OracleFailure
 from .model_spaces import Point, SymmetricSpace, Tangent
@@ -80,10 +79,14 @@ class BusemannFunction:
 
     def hessian(self, x: Point) -> SymMatrix:
         """Hessian as a matrix in frame_at(x) coordinates (block diagonal)."""
-        return SymMatrix(block_diag(*(
-            c * f.bus_hess(data, xp) if c > 0.0 else np.zeros((f.dim, f.dim))
-            for f, xp, c, data in zip(self.space.factors, x.parts,
-                                      self.weights, self.data))))
+        h = np.zeros((self.space.total_dim,) * 2)
+        at = 0
+        for f, xp, c, data in zip(self.space.factors, x.parts, self.weights,
+                                  self.data):
+            if c > 0.0:
+                h[at:at + f.dim, at:at + f.dim] = c * f.bus_hess(data, xp)
+            at += f.dim
+        return SymMatrix(h)
 
     # -- independent truncation oracle -----------------------------------------
 

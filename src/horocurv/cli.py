@@ -10,8 +10,9 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
 configuration (unparseable spec or config value, a flag the subcommand
 does not read, unknown check, config key or report format, negative
 seed, sample count, dimension or node count, empty sweep, non-sphere
-isoperimetric surface, unwritable output).  Reports are byte-stable
-across reruns except the runtime_ms field.
+isoperimetric surface or one whose radius differs from --radius,
+unwritable output).  Reports are byte-stable across reruns except the
+runtime_ms field.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class SuiteConfig:
     seed: int = 42
     samples: int = 0            # 0 = per-check default
     sweep_count: int = vh.SWEEP_COUNT
-    radius: float = 1.0
+    radius: float | None = None  # None = 1, or a sphere surface's radius
     dim: int = 0                # 0 = per-audit default
     min_nodes: int = 1000
     output: str = ""
@@ -57,7 +58,7 @@ class SuiteConfig:
         """Key-value serialization; parse_config_text round-trips it."""
         lines = [f"checks = {' '.join(self.checks)}"]
         for f in fields(self):
-            if f.name != "checks":
+            if f.name != "checks" and getattr(self, f.name) is not None:
                 lines.append(f"{f.name} = {getattr(self, f.name)}")
         return "\n".join(lines) + "\n"
 
@@ -85,12 +86,13 @@ def parse_config_text(text: str, defaults: SuiteConfig | None = None
     for f in fields(SuiteConfig):
         if f.name in raw:
             v = raw.pop(f.name)
-            kind = {"int": int, "float": float}.get(f.type, str)
+            kind = {"int": int, "float": float,
+                    "float | None": float}.get(f.type, str)
             try:
                 setattr(cfg, f.name, kind(v))
             except ValueError:
                 raise ConfigError(f"config key {f.name} = {v!r} is not a "
-                                  f"valid {f.type}") from None
+                                  f"valid {kind.__name__}") from None
     if raw:
         raise HorocurvError(f"unknown config keys: {sorted(raw)}")
     return cfg
@@ -111,6 +113,7 @@ def run_suite(cfg: SuiteConfig):
         if name not in CHECK_NAMES:
             raise HorocurvError(f"unknown check {name!r}")
     reports = []
+    radius = 1.0 if cfg.radius is None else cfg.radius
     space = o = M = None
     if any(c in SURFACE_CHECKS for c in cfg.checks):
         space, o, M = _build_surface(cfg)
@@ -127,8 +130,8 @@ def run_suite(cfg: SuiteConfig):
             rep = vh.hessian_bounds_check(space, o, cfg.samples or 1000,
                                           cfg.seed)
         elif name == "lipschitz":
-            rep = vh.lipschitz_check(space, o, cfg.samples or 500,
-                                     cfg.radius, cfg.seed)
+            rep = vh.lipschitz_check(space, o, cfg.samples or 500, radius,
+                                     cfg.seed)
         elif name == "gauss-consistency":
             rep = vh.gauss_consistency_check(M, o, cfg.min_nodes, cfg.seed)
         elif name == "contact":
@@ -141,12 +144,15 @@ def run_suite(cfg: SuiteConfig):
             rep = vh.willmore_check(M, o)
         elif name == "isoperimetric":
             space = parse_space(cfg.space)
-            r = cfg.radius
+            r = radius
             if cfg.surface:
                 prof = parse_surface(cfg.surface)
                 if prof.amp != 0.0:
                     raise ConfigError("isoperimetric runs on geodesic balls; "
                                       f"surface {cfg.surface!r} is no sphere")
+                if cfg.radius is not None and cfg.radius != prof.base:
+                    raise ConfigError(f"radius {cfg.radius} differs from the "
+                                      f"radius of surface {cfg.surface!r}")
                 r = prof.base
             counts = (parse_grid(cfg.grid, space.total_dim - 1)
                       if cfg.grid else None)

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# not used here: perfbench/tracer.py wraps this name to time SPD dexp kernels
-from scipy.linalg import expm_frechet  # noqa: F401
 
 from .errors import (ConfigError, DegeneratePlaneError, InputDomainError,
                      UnsupportedVolumeError)
@@ -45,6 +43,18 @@ from .numeric_kernel import _sym_stack, spd_inv_sqrt, sym_exp
 
 POINT_TOL = 1e-10
 SPD_CURVATURE_MARGIN = 0.05    # relative safety margin on the SPD kappa
+
+
+def expm_frechet(*args, **kwargs):
+    """`scipy.linalg.expm_frechet`, with scipy imported on the first call.
+
+    Nothing in horocurv calls this: the SPD `dexp` is the Daleckii-Krein
+    formula.  It exists because `perfbench/tracer.py` binds this name to
+    time SPD dexp kernels; importing scipy here only when it is called keeps
+    scipy off the import path of the CLI.
+    """
+    from scipy.linalg import expm_frechet as frechet
+    return frechet(*args, **kwargs)
 
 
 @dataclass(frozen=True)

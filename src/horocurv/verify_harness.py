@@ -533,13 +533,16 @@ def gauss_consistency_check(M, o: Point, min_nodes: int = 1000,
     """|grad B_{S_M(x)}(x) - nu(x)| <= 1e-5 at >= min_nodes grid nodes."""
     t0 = time.perf_counter()
     space = M.space
-    count = min(M.size, max(min_nodes, 1))
+    if min_nodes < 1:
+        raise InputDomainError(
+            f"min_nodes must be at least 1, got {min_nodes}: a check of no "
+            "node proves nothing")
     if M.size < min_nodes:
         raise InputDomainError(
             f"grid has {M.size} nodes, need >= {min_nodes} for this check")
     rng = np.random.default_rng(seed)
-    nodes = (np.arange(M.size) if M.size == count
-             else np.sort(rng.choice(M.size, size=count, replace=False)))
+    nodes = (np.arange(M.size) if M.size == min_nodes
+             else np.sort(rng.choice(M.size, size=min_nodes, replace=False)))
     chart = M.grid_chart()
     worst = 0.0
     failures = 0
@@ -559,7 +562,7 @@ def gauss_consistency_check(M, o: Point, min_nodes: int = 1000,
         "gauss-consistency", M, space, diameter=0.0, lhs=worst, rhs=tol,
         margin=tol - worst, passed=passed, tolerances={"residual": tol},
         seed=seed, runtime_ms=(time.perf_counter() - t0) * 1e3,
-        details={"nodes": int(count), "translation_failures": failures})
+        details={"nodes": int(min_nodes), "translation_failures": failures})
 
 
 # ---------------------------------------------------------------------------

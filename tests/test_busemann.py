@@ -7,7 +7,7 @@ import pytest
 
 from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
-from horocurv.model_spaces import Point, parse_space
+from horocurv.model_spaces import Point, Tangent, parse_space
 from horocurv.numeric_kernel import psd_sqrt, spd_inv_sqrt
 
 SPD_SPECS = ["spd:2", "spd:3", "spd:4,lambda=2.5"]
@@ -144,6 +144,30 @@ def test_hessian_norm_within_curvature_bound():
         h = BusemannFunction(space, o, v).hessian(x).a
         opn = float(np.max(np.abs(np.linalg.eigvalsh(h))))
         assert opn <= space.curvature_lower_bound + 1e-6
+
+
+def test_product_hessian_block_layout():
+    # the product Hessian is exactly the block-diagonal matrix of the
+    # weighted factor Hessians c_f Hess B_{v_f}, in factor order, with a zero
+    # block for a factor of zero weight; scipy's block_diag is the oracle
+    from scipy.linalg import block_diag
+    space = parse_space("euclidean:1xhyperbolic:2,kappa=0.8xspd:2")
+    o = space.origin()
+    rng = np.random.default_rng(15)
+    for zeroed in (None, None, None, 0, 1, 2):
+        v = space.random_unit_tangent(o, rng)
+        if zeroed is not None:
+            v = Tangent(space, o, tuple(0.0 * p if j == zeroed else p
+                                        for j, p in enumerate(v.parts)))
+            v = space.scale(v, 1.0 / space.norm(v))
+        x = space.random_point(o, rng, 1.5)
+        bus = BusemannFunction(space, o, v)
+        assert (zeroed is None) == all(c > 0.0 for c in bus.weights)
+        want = block_diag(*(
+            c * f.bus_hess(data, xp) if c > 0.0 else np.zeros((f.dim, f.dim))
+            for f, xp, c, data in zip(space.factors, x.parts, bus.weights,
+                                      bus.data)))
+        assert np.array_equal(bus.hessian(x).a, want)
 
 
 def test_value_on_stacks_matches_scalar():

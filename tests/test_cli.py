@@ -175,6 +175,24 @@ def test_negative_samples_or_dim_exit_two(tmp_path, capsys, argv, key, value,
     assert f"{key} must be non-negative" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_gauss_consistency_min_nodes_zero_exit_two(tmp_path, capsys, source):
+    # min_nodes 0 ran the check on one node and passed; a check of no node
+    # proves nothing
+    argv = ["verify", "gauss-consistency", "--space", "euclidean:3",
+            "--grid", "4x8"]
+    if source == "flag":
+        argv += ["--min-nodes", "0"]
+    else:
+        path = tmp_path / "suite.cfg"
+        path.write_text("min_nodes = 0\n")
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "min_nodes must be at least 1" in err
+
+
 _UNREAD = [("audit", "--space", "euclidean:3"),
            ("audit", "--surface", "geodesic-sphere:r=1"),
            ("audit", "--grid", "0x0"), ("audit", "--sweep-count", "0"),
@@ -218,6 +236,14 @@ def test_sweep_count_spellings(tmp_path, capsys):
     assert _sweep_rows(capsys, ["--config", str(path), "--count", "1"]) == 1
 
 
+def _child_env(root):
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                MKL_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(
+                    [str(root / "src")]
+                    + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--jacobian", "--space", "euclidean:3", "--grid", "4x8",
      "--count", "1"],
@@ -231,18 +257,41 @@ def test_traced_cli_smoke(argv):
     # perfbench/tracer.py wraps library names and hooks some of them; a
     # renamed or retyped hooked name shows here as a failing traced run
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(root / "src")]
-                   + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "tracer.py")] + argv,
-        capture_output=True, text=True, env=env, cwd=root, timeout=300)
+        capture_output=True, text=True, env=_child_env(root), cwd=root,
+        timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     trace = [line for line in proc.stderr.splitlines()
              if line.startswith("PERFBENCH-TRACE ")]
     assert len(trace) == 1
+
+
+_NO_SCIPY = """\
+import json, sys
+from horocurv.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_without_scipy():
+    # a CLI process that sweeps with Jacobians and integrates curvature
+    # never imports scipy (its import cost the CLI hundreds of milliseconds
+    # per process); a fresh interpreter is needed because this one has scipy
+    # loaded already
+    calls = [["sweep", "--jacobian", "--space", "spd:3", "--surface",
+              "geodesic-sphere:r=0.5", "--grid", "3^4", "--count", "1"],
+             ["verify", "total-curvature", "willmore", "--space",
+              "hyperbolic:3,kappa=1", "--grid", "6x12", "--sweep-count", "2"]]
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, json.dumps(calls)],
+        capture_output=True, text=True, env=_child_env(root), cwd=root,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_reports_byte_stable_modulo_runtime():
@@ -318,9 +367,10 @@ def test_isoperimetric_report_emits(capsys):
     assert reports[0]["pass"] is True
 
 
-def test_isoperimetric_surface_must_be_sphere(capsys):
+def test_isoperimetric_surface_must_be_sphere(tmp_path, capsys):
     # the check runs on geodesic balls: a radial graph is rejected, not
-    # replaced by the sphere of its base radius; a sphere spec is --radius
+    # replaced by the sphere of its base radius; a sphere spec is --radius,
+    # and a radius option that differs from it is rejected, not dropped
     argv = ["verify", "isoperimetric", "--space", "hyperbolic:3,kappa=1",
             "--grid", "4x8"]
     rc = main(argv + ["--surface", "radial-graph:base=0.5,mode=coord,amp=0.3"])
@@ -328,10 +378,21 @@ def test_isoperimetric_surface_must_be_sphere(capsys):
     assert rc == 2
     assert out == ""
     assert "is no sphere" in err
+    path = tmp_path / "suite.cfg"
+    path.write_text("radius = 2\n")
+    for extra in (["--radius", "2"], ["--config", str(path)]):
+        rc = main(argv + ["--surface", "geodesic-sphere:r=0.5"] + extra)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "differs from the radius of surface" in err
     scrub = lambda s: re.sub(r'"runtime_ms": [0-9.e+-]+', '"runtime_ms": 0', s)
     assert main(argv + ["--surface", "geodesic-sphere:r=0.5"]) == 0
     by_surface = scrub(capsys.readouterr().out)
     assert main(argv + ["--radius", "0.5"]) == 0
+    assert scrub(capsys.readouterr().out) == by_surface
+    assert main(argv + ["--surface", "geodesic-sphere:r=0.5",
+                        "--radius", "0.5"]) == 0
     assert scrub(capsys.readouterr().out) == by_surface
 
 
