@@ -14,8 +14,12 @@ For a product direction v = sum_f c_f v_f (v_f factor-unit, sum c_f^2 = 1)
 the value is sum_f c_f B_{v_f}(x_f) and the Hessian is block diagonal with
 weights c_f.  Each factor's direction data (`bus_data`: the ideal point of
 a hyperbolic direction, the translated and diagonalized SPD direction) is
-computed once, when the function is built.  `value` and `gradient` accept
-a Point of factor stacks as well as a single point.
+computed once, when the function is built; a factor of weight 0 takes
+the finite data of the zero direction and adds an exact 0.  The parts of v
+may carry leading direction axes: `value` and `gradient` broadcast them
+against the point axes of x (D directions at D points give D results,
+`bus[:, None]` at N points a (D, N) array), `bus[idx]` selects directions,
+and `hessian` takes one direction at one point.
 
 Every closed form is cross-validated in the test suite against
 `truncated_oracle`, which only uses distances along the defining ray
@@ -24,6 +28,7 @@ Every closed form is cross-validated in the test suite against
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -41,50 +46,67 @@ _WEIGHT_EPS = 1e-12
 
 
 class BusemannFunction:
-    """B_v(x) = lim_t (d(x, gamma_v(t)) - t) for a unit direction v at o."""
+    """B_v(x) = lim_t (d(x, gamma_v(t)) - t) for a unit direction v at o,
+    or for each direction of a stack v."""
 
     def __init__(self, space: SymmetricSpace, o: Point, v: Tangent):
-        nrm = space.norm(v)
-        if abs(nrm - 1.0) > 1e-10:
+        squares = []
+        for f, op, vp in zip(space.factors, o.parts, v.parts):
+            vp = np.asarray(vp, dtype=float)
+            lead = vp.shape[:vp.ndim - f.point_ndim]
+            squares.append(np.reshape(
+                [max(f.inner(op, u, u), 0.0)
+                 for u in vp.reshape((-1,) + np.shape(op))], lead))
+        nrm = np.sqrt(sum(squares))
+        if np.any(np.abs(nrm - 1.0) > 1e-10):
             raise InputDomainError(f"direction must be unit (|v| = {nrm})")
         self.space = space
         self.o = o
-        self.v = v
-        self.weights = []
-        self.data = []           # factor direction data, None if weight 0
-        for f, op, vp in zip(space.factors, o.parts, v.parts):
-            c = math.sqrt(max(f.inner(op, vp, vp), 0.0))
-            if c > _WEIGHT_EPS:
-                self.weights.append(c)
-                self.data.append(f.bus_data(op, vp / c))
-            else:
-                self.weights.append(0.0)
-                self.data.append(None)
+        self.weights = []        # factor weights c_f, one per direction
+        self.data = []           # factor direction data (`bus_data`)
+        for f, op, vp, sq in zip(space.factors, o.parts, v.parts, squares):
+            c = np.sqrt(sq)
+            unit = c > _WEIGHT_EPS
+            axes = (...,) + (None,) * f.point_ndim
+            self.weights.append(np.where(unit, c, 0.0))
+            self.data.append(f.bus_data(op, np.where(
+                unit[axes], vp / np.where(unit, c, 1.0)[axes], 0.0)))
+
+    def __getitem__(self, idx) -> "BusemannFunction":
+        """The function of the directions `idx` (an index of the direction
+        axes; `bus[:, None]` adds a unit axis)."""
+        out = copy.copy(self)
+        out.weights = [c[idx] for c in self.weights]
+        out.data = [data[:f.bus_shared]
+                    + tuple(a[idx] for a in data[f.bus_shared:])
+                    for f, data in zip(self.space.factors, self.data)]
+        return out
 
     # -- closed forms ---------------------------------------------------------
 
     def value(self, x: Point):
-        """B_v(x): a float for one point, an array for a Point of stacks."""
+        """B_v(x): a float for one direction at one point, else an array
+        over the broadcast direction and point axes."""
         total = sum(c * f.bus_value(data, xs)
                     for f, xs, c, data in zip(self.space.factors, x.parts,
-                                              self.weights, self.data)
-                    if c > 0.0)
+                                              self.weights, self.data))
         return float(total) if np.ndim(total) == 0 else total
 
     def gradient(self, x: Point) -> Tangent:
         return Tangent(self.space, x, tuple(
-            c * f.bus_grad(data, xp) if c > 0.0 else np.zeros(np.shape(xp))
+            np.reshape(c, np.shape(c) + (1,) * f.point_ndim)
+            * f.bus_grad(data, xp)
             for f, xp, c, data in zip(self.space.factors, x.parts,
                                       self.weights, self.data)))
 
     def hessian(self, x: Point) -> SymMatrix:
-        """Hessian as a matrix in frame_at(x) coordinates (block diagonal)."""
+        """Hessian as a matrix in frame_at(x) coordinates (block diagonal),
+        for one direction at one point."""
         h = np.zeros((self.space.total_dim,) * 2)
         at = 0
         for f, xp, c, data in zip(self.space.factors, x.parts, self.weights,
                                   self.data):
-            if c > 0.0:
-                h[at:at + f.dim, at:at + f.dim] = c * f.bus_hess(data, xp)
+            h[at:at + f.dim, at:at + f.dim] = c * f.bus_hess(data, xp)
             at += f.dim
         return SymMatrix(h)
 

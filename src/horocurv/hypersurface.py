@@ -40,6 +40,8 @@ from .numeric_kernel import SymMatrix
 H_SHAPE_REL = 1e-4
 _GRAM_DET_TOL = 1e-12
 _BLOCK = 256                   # grid nodes per batched chart/forms evaluation
+_DIAM_SUBSAMPLE = 400          # grid nodes in the dense diameter search
+_DIAM_SWEEPS = 4               # alternating rounds against the full grid
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
@@ -50,17 +52,6 @@ _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 def _dir_u_phi(params):
     """n = 2 chart: params (..., 2) = (u, phi); returns (e, de/dparams)."""
     p = np.asarray(params, dtype=float)
-    if p.shape == (2,):
-        u, phi = float(p[0]), float(p[1])
-        if abs(u) >= 1.0:
-            raise InputDomainError("latitude parameter out of (-1, 1)")
-        s = math.sqrt(1.0 - u * u)
-        cphi, sphi = math.cos(phi), math.sin(phi)
-        e = np.array([u, s * cphi, s * sphi])
-        de = np.array([[1.0, 0.0],
-                       [-u / s * cphi, -s * sphi],
-                       [-u / s * sphi, s * cphi]])
-        return e, de
     u, phi = p[..., 0], p[..., 1]
     if np.any(np.abs(u) >= 1.0):
         raise InputDomainError("latitude parameter out of (-1, 1)")
@@ -269,8 +260,9 @@ class Hypersurface:
     """A closed starshaped hypersurface about `center` on a quadrature grid.
 
     Grid quantities are evaluated as stacks, _BLOCK nodes per batched call,
-    and cached: the chart of every node (`grid_chart`, `area_weights`) and
-    the fundamental data of every node (`grid_forms`, `integrate`).
+    and cached: the chart of every node (`grid_chart`, `area_weights`),
+    the fundamental data of every node (`grid_forms`, `integrate`) and the
+    extrinsic diameter (`diameter_extrinsic`).
     `fundamental_forms` evaluates one off-grid point from its chart.
     """
 
@@ -290,6 +282,7 @@ class Hypersurface:
         self._chart_cache = None
         self._forms_cache = None
         self._points_cache = None
+        self._diameter = None
 
     # -- chart evaluation -----------------------------------------------------
 
@@ -453,16 +446,23 @@ class Hypersurface:
             return float(np.sum(np.abs(d.GK) * d.area_weight))
         return float(np.sum(np.abs(d.H / self.n) ** self.n * d.area_weight))
 
-    def diameter_extrinsic(self, subsample: int = 400, sweeps: int = 4) -> float:
-        """Max pairwise ambient distance over the grid (an under-estimate).
+    def diameter_extrinsic(self) -> float:
+        """Max pairwise ambient distance over the grid (an under-estimate,
+        cached).
 
-        Dense max over a subsample, then alternating maximization against
-        the full grid from the best pair.
+        Dense max over a subsample of about _DIAM_SUBSAMPLE nodes, then up
+        to _DIAM_SWEEPS rounds of alternating maximization against the full
+        grid from the best pair.
         """
+        if self._diameter is None:
+            self._diameter = self._diameter_search()
+        return self._diameter
+
+    def _diameter_search(self) -> float:
         if self.size == 1:
             return 0.0
         stacks = self.points_stack()
-        step = max(1, self.size // subsample)
+        step = max(1, self.size // _DIAM_SUBSAMPLE)
         idx = np.arange(0, self.size, step)
         best, pair = 0.0, (0, 0)
         for i in idx:
@@ -472,7 +472,7 @@ class Hypersurface:
             if d[j] > best:
                 best, pair = float(d[j]), (int(i), int(idx[j]))
         a, b = pair
-        for _ in range(sweeps):
+        for _ in range(_DIAM_SWEEPS):
             y = Point(self.space, tuple(s[a] for s in stacks))
             d = self.space.distance_many(stacks, y)
             b_new = int(np.argmax(d))

@@ -23,8 +23,12 @@ projecting once, and the hyperboloid projection lifts the time coordinate
 from the spatial part, which stays accurate at any distance.
 
 Each factor's Busemann closed forms take the direction data of
-`bus_data(o, v)`, computed once per direction; `bus_hess` is the Hessian
-matrix in frame coordinates.
+`bus_data(o, v)`, computed once per direction or stack of directions v:
+its first `bus_shared` entries depend on o alone, the others carry the
+direction axes of v.  `bus_value` and `bus_grad` broadcast those axes
+against the point axes (direction axes (D, 1) at N points give (D, N),
+with the per-point work done once); `bus_hess` is the Hessian matrix in
+frame coordinates.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ class Tangent:
 class EuclideanFactor:
     kind = "euclidean"
     point_ndim = 1
+    bus_shared = 1                 # bus_data entries that depend on o alone
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -143,7 +148,7 @@ class EuclideanFactor:
 
     def bus_value(self, data, xs):
         o, v = data
-        return -(xs - o) @ v
+        return -np.sum((xs - o) * v, axis=-1)
 
     def bus_grad(self, data, x):
         return np.zeros(np.shape(x)) - data[1]
@@ -170,6 +175,7 @@ class EuclideanFactor:
 class HyperbolicFactor:
     kind = "hyperbolic"
     point_ndim = 1
+    bus_shared = 1
 
     def __init__(self, dim: int, kappa: float):
         if dim < 2:
@@ -350,6 +356,7 @@ class HyperbolicFactor:
 class SPDFactor:
     kind = "spd"
     point_ndim = 2
+    bus_shared = 2
 
     def __init__(self, n: int, lam: float | None = None):
         if n < 2:
@@ -483,30 +490,42 @@ class SPDFactor:
         (eigenvalues delta decreasing; minor weights delta_i - delta_i+1)."""
         osq, osi = spd_inv_sqrt(o)
         v0 = osi @ v @ osi
-        delta, k = np.linalg.eigh(0.5 * (v0 + v0.T))
-        order = np.argsort(delta)[::-1]
-        delta, k = delta[order], k[:, order]
-        return osq, osi, delta, k, delta[:-1] - delta[1:]
+        delta, k = np.linalg.eigh(0.5 * (v0 + np.swapaxes(v0, -1, -2)))
+        order = np.argsort(delta, axis=-1)[..., ::-1]
+        delta = np.take_along_axis(delta, order, axis=-1)
+        k = np.take_along_axis(k, order[..., None, :], axis=-1)
+        return osq, osi, delta, k, delta[..., :-1] - delta[..., 1:]
+
+    def _bus_minors(self, data, xs, m):
+        """The leading m x m block of k^T x0^-1 k, x0 = o^-1/2 xs o^-1/2
+        (x0^-1 once per point): its leading minors give the value."""
+        _, osi, _, k, _ = data
+        k = k[..., :m]
+        return np.swapaxes(k, -1, -2) @ np.linalg.inv(osi @ xs @ osi) @ k
 
     def bus_value(self, data, xs):
-        osq, osi, delta, k, weights = data
-        x0 = osi @ xs @ osi
-        s = k.T @ np.linalg.inv(x0) @ k
-        total = np.zeros(s.shape[:-2])
-        for i, w in enumerate(weights):
-            _, logdet = np.linalg.slogdet(s[..., :i + 1, :i + 1])
-            total = total + w * logdet
+        """The log determinant of each leading block is the sum of the log
+        pivots of Gaussian elimination (the block is positive definite, so
+        it needs no row exchanges), all taken elementwise over the stacks."""
+        s = self._bus_minors(data, xs, self.n - 1)
+        total = logdet = 0.0
+        for i in range(self.n - 1):
+            piv = s[..., i, i]
+            logdet = logdet + np.log(piv)
+            total = total + data[4][..., i] * logdet
+            s[..., i + 1:, i + 1:] -= (s[..., i + 1:, i, None]
+                                       * s[..., None, i, i + 1:]
+                                       / piv[..., None, None])
         return self.metric_coef() * total
 
     def bus_grad(self, data, x):
-        osq, osi, delta, k, weights = data
-        x0 = osi @ x @ osi
-        s = k.T @ np.linalg.inv(x0) @ k
+        osq, _, _, k, weights = data
+        s = self._bus_minors(data, x, self.n)
         g0 = np.zeros(s.shape)
-        for i, w in enumerate(weights):
+        for i in range(self.n - 1):
             blk = np.zeros(s.shape)
             blk[..., :i + 1, :i + 1] = np.linalg.inv(s[..., :i + 1, :i + 1])
-            g0 -= w * (k @ blk @ k.T)
+            g0 -= weights[..., i, None, None] * (k @ blk @ np.swapaxes(k, -1, -2))
         g0 = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
         g = osq @ g0 @ osq
         # the minor formula lives on the det = 1 slice only; remove the

@@ -2,10 +2,12 @@
 
 Checks, each returning a VerificationReport:
 
-* first_contact / jacobian_check -- horosphere first-contact points of a
-  Busemann foliation against a closed hypersurface, the supporting
-  second-order conditions there, and the Gauss-map Jacobian bound
-  J <= e^{n(n+1) kappa D} |GK|.
+* contact_sweep / first_contact / jacobian_check -- horosphere
+  first-contact points of a Busemann foliation against a closed
+  hypersurface, the supporting second-order conditions there, and the
+  Gauss-map Jacobian bound J <= e^{n(n+1) kappa D} |GK|.  A sweep
+  searches all its directions in lockstep; first_contact is that search
+  for one direction.
 * total_curvature_check -- int |GK| >= e^{-n(n+1) kappa D} area(S^n),
   plus a direction sweep certifying the Gauss map covers the sphere.
 * willmore_check -- int |H/n|^n against the same right side.
@@ -43,6 +45,7 @@ SWEEP_COUNT = 500
 ASCENT_STEPS = 40
 ASCENT_MAX_MOVE = 0.5          # largest parameter move (rad) per line search
 STENCIL_EXCLUDED_MAX = 0.1     # share of sweep contact nodes
+GRID_BLOCK_PAIRS = 1 << 16     # direction-node pairs per grid argmax block
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -120,60 +123,116 @@ def _report(check, M, space, **kw):
 # contact sets
 # ---------------------------------------------------------------------------
 
-def _golden_max(g, a: float, b: float, iters: int):
-    """Golden-section search for a maximizer of g on [a, b]; (s, g(s))."""
+def _surface_values(M, bus, q):
+    """B_v(embed(q)) for parameter rows q (D, n) paired with the D
+    directions of `bus`; a row that leaves the chart or the space gets
+    -inf (a stack that raises InputDomainError is halved until the
+    offending rows stand alone)."""
+    try:
+        return bus.value(M.embed(q))
+    except InputDomainError:
+        if len(q) == 1:
+            return np.array([-math.inf])
+        h = len(q) // 2
+        return np.concatenate([_surface_values(M, bus[:h], q[:h]),
+                               _surface_values(M, bus[h:], q[h:])])
+
+
+def _golden_max(g, b, iters: int):
+    """Golden-section search for maximizers of g on the intervals [0, b].
+
+    b is a stack of interval ends and g maps a stack of abscissae, one per
+    interval, to their values, so every interval keeps the comparisons of
+    a scalar search.  Returns (s, g(s)), stacked like b.
+    """
+    a = np.zeros_like(b)
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     gc, gd = g(c), g(d)
     for _ in range(iters):
-        if gc < gd:
-            a, c, gc = c, d, gd
-            d = a + _INVPHI * (b - a)
-            gd = g(d)
-        else:
-            b, d, gd = d, c, gc
-            c = b - _INVPHI * (b - a)
-            gc = g(c)
-    return (c, gc) if gc >= gd else (d, gd)
+        right = gc < gd                  # keep [c, b], else [a, d]
+        a, b = np.where(right, c, a), np.where(right, b, d)
+        c, d = (np.where(right, d, b - _INVPHI * (b - a)),
+                np.where(right, a + _INVPHI * (b - a), c))
+        new = g(np.where(right, d, c))
+        gc, gd = np.where(right, gd, new), np.where(right, new, gc)
+    top = gc >= gd
+    return np.where(top, c, d), np.where(top, gc, gd)
 
 
-def _ascend_max(M, bus: BusemannFunction, p, best: float):
-    """Natural-gradient ascent of B_v(embed(params)) from parameters p.
+def _ascend_max(M, bus: BusemannFunction, p, best):
+    """Natural-gradient ascent of B_v(embed(params)) for every direction of
+    `bus` in lockstep, from parameters p (D, n) where B_v is best (D,).
 
-    `best` is B_v at p.  Each step follows the chart projection of
-    grad B_v (steepest ascent in the surface metric, which is
-    coordinate-free and conditions well near chart poles) with a golden
-    line search, and the ascent stops at machine-level residuals, when a
-    step gains nothing.  The line search moves no parameter by more than
-    ASCENT_MAX_MOVE: from a coarse grid node a longer step makes B_v
-    multimodal along the line, and the search would settle on a lower
-    mode.  Returns (value, params, chart), with the chart at the final
-    params, the one chart of the contact record.
+    Each step follows the chart projection of grad B_v (steepest ascent in
+    the surface metric, which is coordinate-free and conditions well near
+    chart poles) with a golden line search, one stacked chart and gradient
+    per step and one stacked embed and value per line-search point for the
+    directions still ascending.  A direction stops at machine-level
+    residuals, or when a step gains nothing, and keeps its current chart.
+    The line search moves no parameter by more than ASCENT_MAX_MOVE: from a
+    coarse grid node a longer step makes B_v multimodal along the line, and
+    the search would settle on a lower mode.  Returns (values, params,
+    charts), charts[i] the chart at params[i], the one chart of contact i.
     """
+    from .hypersurface import _take
     space = M.space
-
-    def f(q):
-        try:
-            return bus.value(M.embed(q))
-        except InputDomainError:
-            return -math.inf
-
+    p, best = np.array(p, dtype=float), np.array(best, dtype=float)
+    charts = [None] * len(p)
+    rows = np.arange(len(p))             # the directions still ascending
     chart = M.chart(p)
+
+    def leave(keep):
+        # directions rows[~keep] stop with their current chart
+        nonlocal rows, chart
+        for j in np.flatnonzero(~keep):
+            charts[rows[j]] = {k: _take(v, j) for k, v in chart.items()}
+        rows, chart = rows[keep], {k: _take(v, keep) for k, v in chart.items()}
+
     for _ in range(ASCENT_STEPS):
-        grad = bus.gradient(chart["x"])
-        rhs = chart["tangents"] @ space.tangent_to_coords(grad)
-        dp = np.linalg.solve(chart["gram"], rhs)
-        gnorm = math.sqrt(max(float(rhs @ dp), 0.0))
-        if gnorm < 1e-11:
+        grad = space.tangent_to_coords(bus[rows].gradient(chart["x"]))
+        rhs = (chart["tangents"] @ grad[..., None])[..., 0]
+        dp = np.linalg.solve(chart["gram"], rhs[..., None])[..., 0]
+        gnorm = np.sqrt(np.maximum(np.vecdot(rhs, dp), 0.0))
+        go = ~(gnorm < 1e-11)
+        leave(go)
+        if not len(rows):
             break
+        dp = dp[go]
         # ascent step ~ inverse curvature of B on M, capped in parameter space
-        t_max = min(4.0, ASCENT_MAX_MOVE / float(np.max(np.abs(dp))))
-        s, val = _golden_max(lambda t: f(p + t * dp), 0.0, t_max, 20)
-        if val <= best:
+        t_max = np.minimum(4.0, ASCENT_MAX_MOVE / np.max(np.abs(dp), axis=-1))
+        b, start = bus[rows], p[rows]
+        s, val = _golden_max(
+            lambda t: _surface_values(M, b, start + t[:, None] * dp), t_max, 20)
+        up = ~(val <= best[rows])
+        leave(up)
+        if not len(rows):
             break
-        best = val
-        p = p + s * dp
-        chart = M.chart(p)
-    return best, p, chart
+        best[rows] = val[up]
+        p[rows] = start[up] + s[up, None] * dp[up]
+        chart = M.chart(p[rows])
+    leave(np.zeros(len(rows), dtype=bool))
+    return best, p, charts
+
+
+def _grid_argmax(M, bus: BusemannFunction, count: int):
+    """The grid node with the largest B_v, and that value, per direction.
+
+    The (direction x node) values come in blocks of whole nodes, at most
+    GRID_BLOCK_PAIRS pairs each, so factor work that depends on the node
+    alone (the inverse of the translated SPD point) is done once per node.
+    """
+    stacks = M.points_stack()
+    rows = bus[:, None]
+    step = max(1, GRID_BLOCK_PAIRS // count)
+    best = np.full(count, -math.inf)
+    node = np.zeros(count, dtype=int)
+    for s in range(0, M.size, step):
+        vals = rows.value(Point(M.space, tuple(x[s:s + step] for x in stacks)))
+        j = np.argmax(vals, axis=-1)
+        top = vals[np.arange(count), j]
+        up = top > best
+        best, node = np.where(up, top, best), np.where(up, s + j, node)
+    return node, best
 
 
 def _contact_node_data(M, o: Point, bus: BusemannFunction, params, chart,
@@ -195,21 +254,27 @@ def _contact_node_data(M, o: Point, bus: BusemannFunction, params, chart,
         stencil_ok=jac is not None or not measure_jacobian)
 
 
+def _first_contacts(M, o: Point, vs, measure_jacobian: bool):
+    """Contact records of the directions vs: c_v = max_M B_v by the
+    lockstep ascent from the grid node with the largest B_v, and the record
+    at that off-grid point from the ascent's last chart and one stencil."""
+    space = M.space
+    bus = BusemannFunction(space, o, Tangent(space, o, tuple(
+        np.stack(parts) for parts in zip(*(v.parts for v in vs)))))
+    node, start = _grid_argmax(M, bus, len(vs))
+    c_v, params, charts = _ascend_max(M, bus, M.params[node], start)
+    return [ContactRecord(
+        v=v, c_v=c, tie_tol=TIE_TOL_BASE * (1.0 + abs(c)),
+        contact=_contact_node_data(M, o, bus[i], params[i], charts[i], c,
+                                   measure_jacobian))
+            for i, (v, c) in enumerate(zip(vs, c_v.tolist()))]
+
+
 def first_contact(M, o: Point, v: Tangent,
                   measure_jacobian: bool = False) -> ContactRecord:
-    """Contact level c_v = max_M B_v and second-order data at the maximizer.
-
-    The maximizer is found by natural-gradient ascent from the grid node
-    with the largest B_v, and the contact record is evaluated at that
-    off-grid point, from the ascent's last chart and one stencil.
-    """
-    bus = BusemannFunction(M.space, o, v)
-    vals = bus.value(Point(M.space, tuple(M.points_stack())))
-    node = int(np.argmax(vals))
-    c_v, p, chart = _ascend_max(M, bus, M.params[node], float(vals[node]))
-    return ContactRecord(
-        v=v, c_v=c_v, tie_tol=TIE_TOL_BASE * (1.0 + abs(c_v)),
-        contact=_contact_node_data(M, o, bus, p, chart, c_v, measure_jacobian))
+    """Contact level c_v = max_M B_v and second-order data at the maximizer
+    (the contact search of `contact_sweep` for the one direction v)."""
+    return _first_contacts(M, o, [v], measure_jacobian)[0]
 
 
 def _measure_jacobian(space: SymmetricSpace, o: Point, stencil):
@@ -270,14 +335,15 @@ def jacobian_check(M, o: Point, contact: ContactRecord,
 
 def contact_sweep(M, o: Point, count: int = SWEEP_COUNT, seed: int = 42,
                   measure_jacobian: bool = False):
-    """First-contact records for a deterministic sweep of directions.
+    """First-contact records for a deterministic sweep of directions, all
+    searched in one lockstep ascent (`_ascend_max`).
 
     A sweep of no directions proves nothing and is an input error.
     """
     if count < 1:
         raise InputDomainError("the contact sweep needs sweep_count >= 1")
-    return [first_contact(M, o, v, measure_jacobian=measure_jacobian)
-            for v in sweep_directions(M.space, o, count, seed)]
+    return _first_contacts(M, o, sweep_directions(M.space, o, count, seed),
+                           measure_jacobian)
 
 
 def contact_check(M, o: Point, sweep_count: int = SWEEP_COUNT,

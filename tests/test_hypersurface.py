@@ -123,6 +123,22 @@ def test_diameter_egg_shape(e3):
     assert abs(M.diameter_extrinsic() - oracle) < 2e-2
 
 
+def test_diameter_is_cached(h3, monkeypatch):
+    # total-curvature, Willmore and Jacobian checks each read D on the same
+    # surface: the grid search runs once, a repeat is the cached float
+    M = geodesic_sphere(h3, h3.origin(), 1.0, [8, 16])
+    calls = []
+    many = h3.distance_many
+    monkeypatch.setattr(h3, "distance_many",
+                        lambda *args: calls.append(1) or many(*args))
+    first = M.diameter_extrinsic()
+    assert calls
+    calls.clear()
+    second = M.diameter_extrinsic()
+    assert calls == []
+    assert isinstance(second, float) and second == first
+
+
 def test_constant_graph_equals_sphere(e3):
     Ms = geodesic_sphere(e3, e3.origin(), 0.9, [8, 16])
     Mg = radial_graph(e3, e3.origin(), 0.9, "coord", 0.0, [8, 16])

@@ -3,7 +3,8 @@
 Every factor operation that accepts stacks (project_point, exp, dexp,
 transport, dist, bus_value, bus_grad, bus_hess, frame, to_coords,
 from_coords) is run on random stacks of 1-8 points and compared with the
-same call point by point.  The exp differential is also checked against
+same call point by point, and a Busemann function of a stack of directions
+is compared with one function per direction.  The exp differential is also checked against
 central differences of exp (and, on SPD, against scipy's expm_frechet as
 an independent oracle) and parallel transport as an isometry.  Examples
 are derandomized so the suite stays deterministic.
@@ -219,6 +220,41 @@ def test_transport_is_isometry(setup):
     after = np.stack([np.sum(ta * ta, -1), np.sum(ta * tb, -1),
                       np.sum(tb * tb, -1)])
     assert np.max(np.abs(after - before)) <= 1e-12 * (1.0 + np.max(before))
+
+
+@PROPERTY
+@given(_setups())
+def test_direction_stacked_busemann(setup):
+    # one function of D directions against D functions of one direction:
+    # the (direction x point) table, and paired values and gradients; on
+    # the product every odd direction has one factor of weight 0
+    space, _, cs, cv = setup
+    o = space.origin()
+    dirs = cs[::-1] + cv
+    if len(space.factors) > 1:
+        ends = np.cumsum([0] + [f.dim for f in space.factors])
+        for i in range(1, len(dirs), 2):
+            j = (i // 2) % len(space.factors)
+            dirs[i, ends[j]:ends[j + 1]] = 0.0
+    nrm = np.linalg.norm(dirs, axis=-1, keepdims=True)
+    dirs = np.where(nrm > 1e-3, dirs / np.maximum(nrm, 1e-3),
+                    np.eye(space.total_dim)[0])
+    bus = BusemannFunction(space, o, space.coords_to_tangent(o, dirs))
+    if len(space.factors) > 1 and len(dirs) > 1:
+        assert any(c[1] == 0.0 for c in bus.weights)
+    xs = _points(space, cs)
+    table = bus[:, None].value(xs)
+    values = bus.value(xs)
+    grads = bus.gradient(xs)
+    assert table.shape == (len(dirs), len(cs))
+    for i, d in enumerate(dirs):
+        one = BusemannFunction(space, o, space.coords_to_tangent(o, d))
+        for j, cj in enumerate(cs):
+            _close(table[i, j], one.value(_points(space, cj)))
+        xi = _points(space, cs[i])
+        _close(values[i], one.value(xi))
+        for a, b in zip(grads.parts, one.gradient(xi).parts):
+            _close(a[i], b)
 
 
 _TIES = st.sampled_from(["none", "pair", "all"])

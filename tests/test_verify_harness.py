@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from horocurv import verify_harness as vh
+from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError, TranslationFailure
 from horocurv.hypersurface import Hypersurface, geodesic_sphere, radial_graph
-from horocurv.model_spaces import parse_space
+from horocurv.model_spaces import Point, Tangent, parse_space
 from horocurv.numeric_kernel import op_norm, psd_sqrt
 
 
@@ -124,6 +125,80 @@ def test_one_chart_per_contact(h3, monkeypatch):
         assert sum(p.shape[0] == 1 and np.array_equal(p[0], cn.node)
                    for p in at) == 1
         assert [s for s in shapes if s[-3:] == (M.n, 2, M.n)] == [(M.n, 2, M.n)]
+
+
+def _surface(spec, surface, r, grid):
+    space = parse_space(spec)
+    o = space.origin()
+    if surface == "graph":
+        return space, o, radial_graph(space, o, r, "latitude", 0.2, grid)
+    return space, o, geodesic_sphere(space, o, r, grid)
+
+
+def _stack(space, o, vs):
+    """One Tangent holding the directions vs along a leading axis."""
+    return Tangent(space, o, tuple(np.stack(parts)
+                                   for parts in zip(*(v.parts for v in vs))))
+
+
+@pytest.mark.parametrize("spec,surface,r,grid", [
+    ("euclidean:3", "sphere", 1.0, [12, 24]),
+    ("hyperbolic:3,kappa=1", "graph", 1.0, [16, 32]),
+    ("spd:3", "sphere", 0.5, [3] * 4),
+    ("euclidean:1xhyperbolic:2,kappa=1", "sphere", 0.7, [12, 24])],
+    ids=["e3-sphere", "h3-graph", "spd3-sphere", "product-sphere"])
+def test_lockstep_sweep_matches_single_directions(spec, surface, r, grid,
+                                                  monkeypatch):
+    # the lockstep sweep against one direction at a time: the same contact
+    # records, and no more embed calls than the slowest single direction
+    space, o, M = _surface(spec, surface, r, grid)
+    calls = []
+    embed = Hypersurface.embed
+    monkeypatch.setattr(Hypersurface, "embed",
+                        lambda self, params: calls.append(1) or embed(self,
+                                                                      params))
+    k = 6
+    sweep = vh.contact_sweep(M, o, k, seed=7, measure_jacobian=True)
+    sweep_calls = len(calls)
+    single_calls = []
+    for v, rec in zip(vh.sweep_directions(space, o, k, seed=7), sweep):
+        calls.clear()
+        one = vh.first_contact(M, o, v, measure_jacobian=True)
+        single_calls.append(len(calls))
+        assert abs(rec.c_v - one.c_v) <= 1e-13 * abs(one.c_v)
+        for a, b in ((rec.contact.GK, one.contact.GK),
+                     (rec.contact.jacobian, one.contact.jacobian)):
+            assert abs(a - b) <= 1e-6 * abs(b)
+    assert sweep_calls <= max(single_calls)
+
+
+def test_grid_argmax_blocks_match_full_table(h3, monkeypatch):
+    # the argmax over blocks of whole nodes is the argmax of the full
+    # (direction x node) table, first maximum on ties
+    M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [8, 16])
+    o = h3.origin()
+    vs = vh.sweep_directions(h3, o, 7, seed=4)
+    bus = BusemannFunction(h3, o, _stack(h3, o, vs))
+    table = bus[:, None].value(Point(h3, tuple(M.points_stack())))
+    monkeypatch.setattr(vh, "GRID_BLOCK_PAIRS", 50)     # 7 nodes per block
+    node, best = vh._grid_argmax(M, bus, len(vs))
+    assert np.array_equal(node, np.argmax(table, axis=-1))
+    assert np.array_equal(best, np.max(table, axis=-1))
+
+
+def test_stacked_objective_marks_only_domain_rows(h3):
+    # a latitude parameter at |u| >= 1 leaves the n = 2 chart: that row of a
+    # stacked objective call is -inf, the others keep their values
+    M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [8, 16])
+    o = h3.origin()
+    vs = vh.sweep_directions(h3, o, 5, seed=3)
+    q = M.params[[0, 9, 40, 77, 120]].copy()
+    q[2, 0] = 1.2
+    vals = vh._surface_values(M, BusemannFunction(h3, o, _stack(h3, o, vs)), q)
+    assert vals[2] == -math.inf
+    for i in (0, 1, 3, 4):
+        one = BusemannFunction(h3, o, vs[i]).value(M.embed(q[i]))
+        assert abs(vals[i] - one) <= 1e-12 * abs(one)
 
 
 def test_jacobian_euclidean_equality(e3, e3_sphere):
