@@ -16,10 +16,10 @@ weights c_f.  Each factor's direction data (`bus_data`: the ideal point of
 a hyperbolic direction, the translated and diagonalized SPD direction) is
 computed once, when the function is built; a factor of weight 0 takes
 the finite data of the zero direction and adds an exact 0.  The parts of v
-may carry leading direction axes: `value` and `gradient` broadcast them
-against the point axes of x (D directions at D points give D results,
-`bus[:, None]` at N points a (D, N) array), `bus[idx]` selects directions,
-and `hessian` takes one direction at one point.
+may carry leading direction axes: `value`, `gradient` and `hessian`
+broadcast them against the point axes of x (D directions at D points give
+D results, `bus[:, None]` at N points a (D, N) array), and `bus[idx]`
+selects directions.
 
 Every closed form is cross-validated in the test suite against
 `truncated_oracle`, which only uses distances along the defining ray
@@ -50,13 +50,8 @@ class BusemannFunction:
     or for each direction of a stack v."""
 
     def __init__(self, space: SymmetricSpace, o: Point, v: Tangent):
-        squares = []
-        for f, op, vp in zip(space.factors, o.parts, v.parts):
-            vp = np.asarray(vp, dtype=float)
-            lead = vp.shape[:vp.ndim - f.point_ndim]
-            squares.append(np.reshape(
-                [max(f.inner(op, u, u), 0.0)
-                 for u in vp.reshape((-1,) + np.shape(op))], lead))
+        squares = [np.maximum(f.inner(op, vp, vp), 0.0)
+                   for f, op, vp in zip(space.factors, o.parts, v.parts)]
         nrm = np.sqrt(sum(squares))
         if np.any(np.abs(nrm - 1.0) > 1e-10):
             raise InputDomainError(f"direction must be unit (|v| = {nrm})")
@@ -101,12 +96,15 @@ class BusemannFunction:
 
     def hessian(self, x: Point) -> SymMatrix:
         """Hessian as a matrix in frame_at(x) coordinates (block diagonal),
-        for one direction at one point."""
-        h = np.zeros((self.space.total_dim,) * 2)
+        (..., dim, dim) over the broadcast direction and point axes."""
+        blocks = [np.reshape(c, np.shape(c) + (1, 1)) * f.bus_hess(data, xp)
+                  for f, xp, c, data in zip(self.space.factors, x.parts,
+                                            self.weights, self.data)]
+        h = np.zeros(np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+                     + (self.space.total_dim,) * 2)
         at = 0
-        for f, xp, c, data in zip(self.space.factors, x.parts, self.weights,
-                                  self.data):
-            h[at:at + f.dim, at:at + f.dim] = c * f.bus_hess(data, xp)
+        for f, b in zip(self.space.factors, blocks):
+            h[..., at:at + f.dim, at:at + f.dim] = b
             at += f.dim
         return SymMatrix(h)
 

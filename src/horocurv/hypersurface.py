@@ -20,8 +20,9 @@ matrices, Jacobians and unit normals, through the stack-capable factor
 `exp`, `dexp` and coordinate maps.  The shape operators of all grid nodes
 come from two such calls per block of nodes, one at the nodes and one at
 their 2n finite-difference stencil parameters, followed by one stacked
-parallel transport; an off-grid point goes through the same code with no
-leading axes, and its stencil also serves the Gauss-map Jacobian.
+parallel transport; the off-grid contact points of a sweep go through the
+same code as one stack, and their stencils also serve the Gauss-map
+Jacobian.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import (ChartDegeneracyError, ConfigError, InputDomainError,
                      UnsupportedVolumeError)
 from .model_spaces import Point, SymmetricSpace, Tangent, _fmt
-from .numeric_kernel import SymMatrix
 
 H_SHAPE_REL = 1e-4
 _GRAM_DET_TOL = 1e-12
@@ -248,10 +248,6 @@ class FundamentalData:
             sym_residual=float(self.sym_residual[i]))
 
     @property
-    def A(self) -> SymMatrix:
-        return SymMatrix(self.a)
-
-    @property
     def nu(self) -> Tangent:
         return self.x.space.coords_to_tangent(self.x, self.nu_coords)
 
@@ -263,7 +259,7 @@ class Hypersurface:
     and cached: the chart of every node (`grid_chart`, `area_weights`),
     the fundamental data of every node (`grid_forms`, `integrate`) and the
     extrinsic diameter (`diameter_extrinsic`).
-    `fundamental_forms` evaluates one off-grid point from its chart.
+    `fundamental_forms` evaluates off-grid points from their chart.
     """
 
     def __init__(self, space: SymmetricSpace, center: Point,
@@ -424,11 +420,10 @@ class Hypersurface:
         return self._forms_cache
 
     def fundamental_forms(self, params, chart):
-        """(data, stencil) at off-grid parameters (n,) from their chart
-        `chart(params)`: the fundamental data (area weight 0) and the
+        """(data, stencil) at off-grid parameters (..., n) from their chart
+        `chart(params)`: the stacked fundamental data (area weight 0) and the
         stencil of `_forms`, whose leg i steps along onb_coords[i]."""
-        data, stencil = self._forms(np.asarray(params, dtype=float), chart)
-        return data[()], stencil
+        return self._forms(np.asarray(params, dtype=float), chart)
 
     def area_weights(self) -> np.ndarray:
         """All area weights (chart-tangent evaluation only, no shape FD)."""

@@ -11,16 +11,18 @@ A `SymmetricSpace` is an ordered product of factors:
 
 Points and tangents are stored per factor.  All closed forms (exp, log,
 transport, exp differential) are exact up to rounding.  The factor
-`project_point`, `exp`, `dexp`, `transport`, `dist`, `frame`, `to_coords`,
-`from_coords`, `bus_value`, `bus_grad` and `bus_hess` accept stacks of
-points, tangents or coordinates along leading axes, ``(..., d+1)``
-hyperboloid and ``(..., n, n)`` SPD arrays, broadcasting them against each
-other; the SPD `dexp` is the Daleckii-Krein divided-difference formula on
-one batched eigendecomposition.  The factor `exp` does not project (far
-out on a ray the constraint check loses all precision while the
-coordinates stay accurate); `exp_map` repairs the constraint drift by
-projecting once, and the hyperboloid projection lifts the time coordinate
-from the spatial part, which stays accurate at any distance.
+`project_point`, `inner`, `exp`, `dexp`, `transport`, `dist`, `frame`,
+`to_coords`, `from_coords`, `translate`, `bus_value`, `bus_grad` and
+`bus_hess` accept stacks of points, tangents or coordinates along leading
+axes, ``(..., d+1)`` hyperboloid and ``(..., n, n)`` SPD arrays,
+broadcasting them against each other, and so do the space's `inner`,
+`norm` and `scale`; the SPD `dexp` is the Daleckii-Krein
+divided-difference formula on one batched eigendecomposition.  The factor
+`exp` does not project (far out on a ray the constraint check loses all
+precision while the coordinates stay accurate); `exp_map` repairs the
+constraint drift by projecting once, and the hyperboloid projection lifts
+the time coordinate from the spatial part, which stays accurate at any
+distance.
 
 Each factor's Busemann closed forms take the direction data of
 `bus_data(o, v)`, computed once per direction or stack of directions v:
@@ -106,7 +108,7 @@ class EuclideanFactor:
         return x
 
     def inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return np.vecdot(u, v)
 
     def exp(self, x, v):
         return x + v
@@ -217,7 +219,7 @@ class HyperbolicFactor:
         return np.concatenate([spatial, last], axis=-1)
 
     def inner(self, x, u, v):
-        return float(self.minkowski(u, v))
+        return self.minkowski(u, v)
 
     def check_tangent(self, x, v, tol=POINT_TOL):
         if abs(self.minkowski(x, v)) > tol * (1.0 + np.linalg.norm(v)):
@@ -343,7 +345,7 @@ class HyperbolicFactor:
         k = self.kappa
         p = x - u / k  # null vector of the ray exp_x(-t u)
         c = -1.0 / (k * k * self.minkowski(o, p))
-        return k * (c * p - o)
+        return k * (c[..., None] * p - o)
 
     def ray_time_cap(self, x, v):
         # keep cosh(kappa t) squarable in double precision
@@ -389,7 +391,9 @@ class SPDFactor:
         w = np.linalg.eigvalsh(x)
         if np.any(w[..., 0] <= 0):
             raise InputDomainError("point is not positive definite")
-        return x / (np.prod(w, axis=-1) ** (1.0 / self.n))[..., None, None]
+        # one array power for a point and a stack alike (a numpy scalar
+        # power rounds differently in the last bit)
+        return x / np.prod(w, axis=-1, keepdims=True)[..., None] ** (1.0 / self.n)
 
     def metric_coef(self) -> float:
         """g(u, v) = metric_coef * tr(x^-1 u x^-1 v).
@@ -402,7 +406,7 @@ class SPDFactor:
 
     def inner(self, x, u, v):
         xi = np.linalg.inv(x)
-        return self.metric_coef() * float(np.trace(xi @ u @ xi @ v))
+        return self.metric_coef() * np.trace(xi @ u @ xi @ v, axis1=-2, axis2=-1)
 
     def check_tangent(self, x, v, tol=POINT_TOL):
         v = np.asarray(v, dtype=float)
@@ -550,7 +554,7 @@ class SPDFactor:
         qt = np.swapaxes(q, -1, -2)[..., None, :, :]
         c = ((qt @ self._p_basis @ q[..., None, :, :])
              * np.sqrt(2.0 * self.n / math.sqrt(self.lam) * gap)[..., None, :, :])
-        c = c.reshape(c.shape[:-2] + (-1,))
+        c = c.reshape(c.shape[:-2] + (self.n * self.n,))
         return c @ np.swapaxes(c, -1, -2)      # H_ab as a Gram matrix
 
     def bus_trunc_value(self, data, x, t):
@@ -592,14 +596,15 @@ class SPDFactor:
         """
         osq, osi = spd_inv_sqrt(o)
         x0 = osi @ x @ osi
-        x0s, x0si = spd_inv_sqrt(0.5 * (x0 + x0.T))
+        x0s, x0si = spd_inv_sqrt(0.5 * (x0 + np.swapaxes(x0, -1, -2)))
         w = -x0si @ (osi @ u @ osi) @ x0si
-        dvals, k = np.linalg.eigh(0.5 * (w + w.T))
-        order = np.argsort(dvals)[::-1]
-        dvals, k = dvals[order], k[:, order]
+        dvals, k = np.linalg.eigh(0.5 * (w + np.swapaxes(w, -1, -2)))
+        order = np.argsort(dvals, axis=-1)[..., ::-1]
+        dvals = np.take_along_axis(dvals, order, axis=-1)[..., None, :]
+        k = np.take_along_axis(k, order[..., None, :], axis=-1)
         q, r = np.linalg.qr(x0s @ k)
-        q = q * np.sign(np.diag(r))
-        v0 = (q * dvals) @ q.T
+        q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+        v0 = (q * dvals) @ np.swapaxes(q, -1, -2)
         return osq @ v0 @ osq
 
     def ray_time_cap(self, x, v):
@@ -711,15 +716,22 @@ class SymmetricSpace:
             f.check_tangent(x, v, tol=1e-8)
         return Tangent(self, base, parts)
 
-    def inner(self, u: Tangent, v: Tangent) -> float:
-        return sum(f.inner(x, a, b) for f, x, a, b
-                   in zip(self.factors, u.base.parts, u.parts, v.parts))
+    def inner(self, u: Tangent, v: Tangent):
+        """g(u, v): a float for one pair, else an array over the broadcast
+        stack axes of the tangents and their base points."""
+        total = sum(f.inner(x, a, b) for f, x, a, b
+                    in zip(self.factors, u.base.parts, u.parts, v.parts))
+        return float(total) if np.ndim(total) == 0 else total
 
-    def norm(self, u: Tangent) -> float:
-        return math.sqrt(max(self.inner(u, u), 0.0))
+    def norm(self, u: Tangent):
+        nrm = np.sqrt(np.maximum(self.inner(u, u), 0.0))
+        return float(nrm) if np.ndim(nrm) == 0 else nrm
 
-    def scale(self, u: Tangent, c: float) -> Tangent:
-        return Tangent(self, u.base, tuple(c * p for p in u.parts))
+    def scale(self, u: Tangent, c) -> Tangent:
+        """c u, for a number c or an array c over the stack axes of u."""
+        return Tangent(self, u.base, tuple(
+            np.reshape(c, np.shape(c) + (1,) * f.point_ndim) * p
+            for f, p in zip(self.factors, u.parts)))
 
     def add(self, u: Tangent, v: Tangent) -> Tangent:
         return Tangent(self, u.base, tuple(a + b for a, b in zip(u.parts, v.parts)))
@@ -816,9 +828,14 @@ class SymmetricSpace:
         c = rng.standard_normal(self.total_dim)
         return self.coords_to_tangent(x, c)
 
-    def random_unit_tangent(self, x: Point, rng) -> Tangent:
-        v = self.random_tangent(x, rng)
+    def unit_tangent(self, x: Point, c) -> Tangent:
+        """The unit tangent at x along frame coordinates c, or one per row
+        of a (..., dim) stack."""
+        v = self.coords_to_tangent(x, c)
         return self.scale(v, 1.0 / self.norm(v))
+
+    def random_unit_tangent(self, x: Point, rng) -> Tangent:
+        return self.unit_tangent(x, rng.standard_normal(self.total_dim))
 
     def random_point(self, o: Point, rng, radius: float) -> Point:
         v = self.random_unit_tangent(o, rng)

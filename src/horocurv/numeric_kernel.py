@@ -19,22 +19,13 @@ PSD_CLAMP_REL = 1e-8
 
 
 class SymMatrix:
-    """A real symmetric matrix, symmetrized exactly on construction."""
+    """A real symmetric matrix, or a (..., n, n) stack of them, symmetrized
+    exactly on construction."""
 
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2:
-            raise InputDomainError(f"expected a square array, got shape {a.shape}")
-        self.a = _sym_stack(a)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    def __array__(self, dtype=None):
-        return self.a if dtype is None else self.a.astype(dtype)
+        self.a = _sym_stack(entries)
 
     def __repr__(self):
         return f"SymMatrix({self.a!r})"
@@ -51,17 +42,17 @@ def _sym_stack(m) -> np.ndarray:
 
 
 def _as_sym_array(m) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.a
-    return SymMatrix(m).a
+    return m.a if isinstance(m, SymMatrix) else _sym_stack(m)
 
 
-def op_norm(m) -> float:
-    """Operator (spectral) norm of a symmetric matrix."""
+def op_norm(m):
+    """Operator (spectral) norm of a symmetric matrix (a float), or of each
+    matrix of a (..., n, n) stack."""
     a = _as_sym_array(m)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    nrm = np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+    return float(nrm) if np.ndim(nrm) == 0 else nrm
 
 
 def psd_sqrt(m) -> SymMatrix:

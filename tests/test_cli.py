@@ -244,18 +244,27 @@ def _child_env(root):
                     + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--jacobian", "--space", "euclidean:3", "--grid", "4x8",
-     "--count", "1"],
-    ["audit", "det-audit", "--samples", "5", "--dim", "2"],
-    ["verify", "gauss-consistency", "contact", "jacobian", "--space",
-     "hyperbolic:3,kappa=1", "--surface",
-     "radial-graph:base=0.7,mode=latitude,amp=0.2", "--grid", "6x12",
-     "--sweep-count", "2", "--min-nodes", "50"]],
-    ids=["sweep-jacobian", "det-audit", "surface-checks"])
-def test_traced_cli_smoke(argv):
+@pytest.mark.parametrize("argv,checks", [
+    (["sweep", "--jacobian", "--space", "euclidean:3", "--grid", "4x8",
+      "--count", "1"], []),
+    (["sweep", "--jacobian", "--space", "spd:3", "--surface",
+      "geodesic-sphere:r=0.5", "--grid", "3^4", "--count", "1"], []),
+    (["audit", "det-audit", "--samples", "5", "--dim", "2"], []),
+    (["verify", "gauss-consistency", "contact", "jacobian", "--space",
+      "hyperbolic:3,kappa=1", "--surface",
+      "radial-graph:base=0.7,mode=latitude,amp=0.2", "--grid", "6x12",
+      "--sweep-count", "2", "--min-nodes", "50"], []),
+    (["verify", "total-curvature", "willmore", "--space",
+      "hyperbolic:3,kappa=1", "--grid", "6x12", "--sweep-count", "2"],
+     ["total-curvature", "willmore"]),
+    (["verify", "isoperimetric", "--space", "hyperbolic:3,kappa=1",
+      "--radius", "0.5", "--grid", "4x8"], ["isoperimetric"])],
+    ids=["sweep-jacobian", "spd-sweep-jacobian", "det-audit",
+         "surface-checks", "total-curvature-willmore", "isoperimetric"])
+def test_traced_cli_smoke(argv, checks):
     # perfbench/tracer.py wraps library names and hooks some of them; a
-    # renamed or retyped hooked name shows here as a failing traced run
+    # renamed or retyped hooked name shows here as a failing traced run, and
+    # the trace must carry the numbers of the reports the checks returned
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "tracer.py")] + argv,
@@ -265,6 +274,12 @@ def test_traced_cli_smoke(argv):
     trace = [line for line in proc.stderr.splitlines()
              if line.startswith("PERFBENCH-TRACE ")]
     assert len(trace) == 1
+    traced = json.loads(trace[0].split(" ", 1)[1])["reports"]
+    assert [r["check"] for r in traced] == checks
+    if checks:
+        reports = json.loads(proc.stdout)
+        assert [{k: r[k] for k in ("check", "lhs", "rhs", "diameter")}
+                for r in reports] == traced
 
 
 _NO_SCIPY = """\

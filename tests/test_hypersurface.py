@@ -51,7 +51,7 @@ def test_euclidean_sphere_area_and_forms(e3):
     M = geodesic_sphere(e3, e3.origin(), 1.0, [16, 32])
     assert abs(M.integrate("area") / (4 * math.pi) - 1) < 1e-6
     d = M.grid_forms()[40]
-    assert np.max(np.abs(d.A.a - np.eye(2))) < 1e-6
+    assert np.max(np.abs(d.a - np.eye(2))) < 1e-6
     assert abs(d.GK - 1.0) < 1e-6
     assert abs(d.H - 2.0) < 1e-6
     assert d.sym_residual < 1e-6
@@ -63,7 +63,7 @@ def test_h3_sphere_closed_forms(h3):
     M = geodesic_sphere(h3, h3.origin(), r, [24, 48])
     coth = math.cosh(r) / math.sinh(r)
     d = M.grid_forms()[100]
-    assert np.max(np.abs(d.A.a - coth * np.eye(2))) < 1e-4
+    assert np.max(np.abs(d.a - coth * np.eye(2))) < 1e-4
     tc = M.integrate("total_curvature")
     assert abs(tc / (4 * math.pi * math.cosh(r) ** 2) - 1) < 5e-3
     # umbilic: willmore == total curvature
@@ -74,7 +74,7 @@ def test_umbilic_consistency(h3):
     # constant-curvature geodesic spheres: ||A - (trA/n) Id|| <= 1e-4
     M = geodesic_sphere(h3, h3.origin(), 0.7, [12, 24])
     for node in range(0, M.size, 37):
-        a = M.grid_forms()[node].A.a
+        a = M.grid_forms()[node].a
         dev = a - np.trace(a) / 2.0 * np.eye(2)
         assert np.max(np.abs(dev)) < 1e-4
 
@@ -215,6 +215,18 @@ def test_point_evaluators_agree(spec, surface, grid):
             for part, stack in zip(x.parts, stacks):
                 assert part.shape == stack[i].shape
                 assert np.max(np.abs(part - stack[i])) <= 1e-14
+
+
+def test_spd_point_matches_one_row_stack_bitwise():
+    # a point and a one-row stack take the same arithmetic (one array power
+    # in the SPD projection), so their surface points agree bit for bit
+    space = parse_space("spd:3")
+    M = geodesic_sphere(space, space.origin(), 0.5, [6] * 4)
+    rng = np.random.default_rng(0)
+    q = rng.uniform(0.0, math.pi, (2000, 4)) * [1.0, 1.0, 1.0, 2.0]
+    for p in q:
+        one, row = M._evaluate(p)[0], M._evaluate(p[None])[0]
+        assert np.array_equal(one.parts[0], row.parts[0][0])
 
 
 @pytest.mark.parametrize("spec,surface,grid", [

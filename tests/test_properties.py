@@ -4,7 +4,9 @@ Every factor operation that accepts stacks (project_point, exp, dexp,
 transport, dist, bus_value, bus_grad, bus_hess, frame, to_coords,
 from_coords) is run on random stacks of 1-8 points and compared with the
 same call point by point, and a Busemann function of a stack of directions
-is compared with one function per direction.  The exp differential is also checked against
+is compared with one function per direction.  The Gauss-map translation,
+inner products and norms of a stack must equal their one-pair results
+bit for bit.  The exp differential is also checked against
 central differences of exp (and, on SPD, against scipy's expm_frechet as
 an independent oracle) and parallel transport as an isometry.  Examples
 are derandomized so the suite stays deterministic.
@@ -24,6 +26,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from horocurv.busemann import BusemannFunction  # noqa: E402
+from horocurv.gauss_map import translate_direction  # noqa: E402
 from horocurv.model_spaces import parse_space  # noqa: E402
 
 try:
@@ -255,6 +258,45 @@ def test_direction_stacked_busemann(setup):
         _close(values[i], one.value(xi))
         for a, b in zip(grads.parts, one.gradient(xi).parts):
             _close(a[i], b)
+
+
+def _directions(space, cs, cv):
+    """Coordinate rows cs[::-1] + cv, a factor zeroed on every odd row of a
+    product; a row near 0 is replaced by the first basis vector."""
+    dirs = cs[::-1] + cv
+    if len(space.factors) > 1:
+        ends = np.cumsum([0] + [f.dim for f in space.factors])
+        for i in range(1, len(dirs), 2):
+            j = (i // 2) % len(space.factors)
+            dirs[i, ends[j]:ends[j + 1]] = 0.0
+    nrm = np.linalg.norm(dirs, axis=-1, keepdims=True)
+    return np.where(nrm > 1e-3, dirs, np.eye(space.total_dim)[0])
+
+
+@PROPERTY
+@given(_setups())
+def test_stacked_translation_matches_rows_bitwise(setup):
+    # one stacked translate_direction, inner and norm on D (point, direction)
+    # pairs against D one-pair calls, bit for bit; on the product every odd
+    # direction has a factor of weight 0
+    space, _, cs, cv = setup
+    o = space.origin()
+    xs = _points(space, cs)
+    dirs = _directions(space, cs, cv)
+    us = space.unit_tangent(xs, dirs)
+    ws = space.coords_to_tangent(xs, cs)
+    v, resid = translate_direction(space, o, xs, us)
+    inner, norm = space.inner(us, ws), space.norm(ws)
+    for i, (ci, di) in enumerate(zip(cs, dirs)):
+        xi = _points(space, ci)
+        ui = space.unit_tangent(xi, di)
+        wi = space.coords_to_tangent(xi, ci)
+        vi, ri = translate_direction(space, o, xi, ui)
+        for a, b in zip(us.parts + v.parts, ui.parts + vi.parts):
+            assert np.array_equal(a[i], b)
+        assert resid[i] == ri
+        assert inner[i] == space.inner(ui, wi)
+        assert norm[i] == space.norm(wi)
 
 
 _TIES = st.sampled_from(["none", "pair", "all"])

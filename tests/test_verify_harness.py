@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from horocurv import verify_harness as vh
+from horocurv import gauss_map, verify_harness as vh
 from horocurv.busemann import BusemannFunction
-from horocurv.errors import InputDomainError, TranslationFailure
+from horocurv.errors import InputDomainError
 from horocurv.hypersurface import Hypersurface, geodesic_sphere, radial_graph
 from horocurv.model_spaces import Point, Tangent, parse_space
 from horocurv.numeric_kernel import op_norm, psd_sqrt
@@ -105,7 +105,7 @@ def test_jacobian_h3_closed_forms(h3, h3_sphere, e3, e3_sphere):
 def test_one_chart_per_contact(h3, monkeypatch):
     # the contact record reuses the ascent's last chart, and the Jacobian
     # differences the shape operator's stencil: one chart at the contact
-    # parameters and one stacked stencil chart of shape (n, 2, n)
+    # parameters and one stacked stencil chart of shape (1, n, 2, n)
     M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [16, 32])
     shapes, at = [], []
     chart = Hypersurface.chart
@@ -124,7 +124,54 @@ def test_one_chart_per_contact(h3, monkeypatch):
         assert cn.jacobian is not None
         assert sum(p.shape[0] == 1 and np.array_equal(p[0], cn.node)
                    for p in at) == 1
-        assert [s for s in shapes if s[-3:] == (M.n, 2, M.n)] == [(M.n, 2, M.n)]
+        assert ([s for s in shapes if s[-3:] == (M.n, 2, M.n)]
+                == [(1, M.n, 2, M.n)])
+
+
+def test_sweep_translates_stencils_in_one_call(h3, monkeypatch):
+    # a sweep of D directions with Jacobians translates the stencil points
+    # of all its contacts in one call, on one stencil chart (D, n, 2, n)
+    M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [16, 32])
+    calls, shapes = [], []
+    translate = gauss_map.translate_direction
+    monkeypatch.setattr(gauss_map, "translate_direction",
+                        lambda *args: calls.append(1) or translate(*args))
+    chart = Hypersurface.chart
+
+    def counted(self, params, orient=True):
+        shapes.append(np.shape(params))
+        return chart(self, params, orient)
+
+    monkeypatch.setattr(Hypersurface, "chart", counted)
+    d = 5
+    recs = vh.contact_sweep(M, h3.origin(), d, seed=3, measure_jacobian=True)
+    assert all(rec.contact.stencil_ok for rec in recs)
+    assert len(calls) == 1
+    assert ([s for s in shapes if s[-3:] == (M.n, 2, M.n)]
+            == [(d, M.n, 2, M.n)])
+
+
+def test_stencil_gate_marks_only_its_contact(h3, monkeypatch):
+    # a stencil normal that fails the translation gate (a NaN residual)
+    # leaves only its own contact unmeasured; the others keep their
+    # Jacobians bit for bit
+    M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [16, 32])
+    o = h3.origin()
+    clean = vh.contact_sweep(M, o, 4, seed=5, measure_jacobian=True)
+    forms = Hypersurface.fundamental_forms
+
+    def corrupt(self, params, chart):
+        data, stencil = forms(self, params, chart)
+        stencil["nu"][1, 0, 1] = np.nan
+        return data, stencil
+
+    monkeypatch.setattr(Hypersurface, "fundamental_forms", corrupt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gated = vh.contact_sweep(M, o, 4, seed=5, measure_jacobian=True)
+    assert [rec.contact.stencil_ok for rec in gated] == [True, False, True, True]
+    assert gated[1].contact.jacobian is None
+    for i in (0, 2, 3):
+        assert gated[i].contact.jacobian == clean[i].contact.jacobian
 
 
 def _surface(spec, surface, r, grid):
@@ -350,14 +397,19 @@ def test_report_shape(e3, e3_sphere):
     assert d["pass"] == (rep.margin >= -vh.INEQ_TOL * rep.rhs)
 
 
+def _all_gated(space, o, stencil):
+    # the stencil of every contact fails the translation gate
+    w, ok = gauss_map.gauss_differential(space, o, stencil)
+    return w, np.zeros_like(ok)
+
+
 def test_jacobian_sweep_fails_when_nothing_measured(e3, monkeypatch):
     # every contact node stencil-excluded: the sweep measured nothing
     M = geodesic_sphere(e3, e3.origin(), 1.0, [12, 24])
     rep = vh.jacobian_sweep_check(M, e3.origin(), sweep_count=3)
     assert rep.passed
     assert rep.details["measured"] == 3
-    monkeypatch.setattr(vh, "_measure_jacobian",
-                        lambda space, o, stencil: None)
+    monkeypatch.setattr(vh, "gauss_differential", _all_gated)
     rep = vh.jacobian_sweep_check(M, e3.origin(), sweep_count=3)
     assert not rep.passed
     assert rep.details["measured"] == 0
@@ -371,10 +423,7 @@ def test_unmeasured_jacobian_clears_stencil_ok(e3, e3_sphere, monkeypatch):
     v = e3.random_unit_tangent(o, np.random.default_rng(5))
     assert vh.first_contact(e3_sphere, o, v).contact.stencil_ok
 
-    def fail(*args):
-        raise TranslationFailure("stencil translation failed")
-
-    monkeypatch.setattr(vh, "gauss_differential", fail)
+    monkeypatch.setattr(vh, "gauss_differential", _all_gated)
     rec = vh.first_contact(e3_sphere, o, v, measure_jacobian=True)
     assert rec.contact.jacobian is None
     assert not rec.contact.stencil_ok
