@@ -4,7 +4,8 @@ Subcommands:
 
 * verify CHECK [CHECK ...] -- run named checks against a space/surface.
 * audit [det-audit sqrt-audit] -- the standalone matrix inequalities.
-* sweep -- per-direction contact records as CSV/JSON.
+* sweep -- the contact table of a direction sweep as CSV/JSON, one row
+  per direction.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
 configuration (unparseable spec or config value, a flag the subcommand
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -209,28 +211,30 @@ _SWEEP_FIELDS = ["direction", "c_v", "tie_tol", "s_residual",
                  "stencil_ok"]
 
 
-def _sweep_rows(records):
-    """One row of _SWEEP_FIELDS values per record; jacobian None if unmeasured."""
-    for i, rec in enumerate(records):
-        cn = rec.contact
-        yield [i, rec.c_v, rec.tie_tol, cn.s_residual, cn.eig_min_support,
-               cn.eig_min_hessian, cn.GK, cn.jacobian, int(cn.stencil_ok)]
+def _sweep_rows(sweep):
+    """One row of _SWEEP_FIELDS values (plain Python numbers) per direction
+    of a contact table; jacobian None if unmeasured."""
+    jac = [None if math.isnan(j) else j for j in sweep.jacobian.tolist()]
+    return zip(range(len(jac)), sweep.c_v.tolist(), sweep.tie_tol.tolist(),
+               sweep.s_residual.tolist(), sweep.eig_min_support.tolist(),
+               sweep.eig_min_hessian.tolist(), sweep.GK.tolist(), jac,
+               sweep.stencil_ok.astype(int).tolist())
 
 
-def render_sweep_csv(records) -> str:
-    """Per-direction contact records as CSV (floats in repr, empty jacobian
-    when unmeasured)."""
+def render_sweep_csv(sweep) -> str:
+    """A contact table as CSV, one row per direction (floats in repr, empty
+    jacobian when unmeasured)."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_SWEEP_FIELDS)
-    w.writerows(_sweep_rows(records))
+    w.writerows(_sweep_rows(sweep))
     return buf.getvalue()
 
 
-def render_sweep_json(records) -> str:
-    """Per-direction contact records as a JSON list of CSV-named objects."""
+def render_sweep_json(sweep) -> str:
+    """A contact table as a JSON list of CSV-named objects."""
     return json.dumps([dict(zip(_SWEEP_FIELDS, row))
-                       for row in _sweep_rows(records)], indent=2) + "\n"
+                       for row in _sweep_rows(sweep)], indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +321,11 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         if args.command == "sweep":
             _, o, M = _build_surface(cfg)
-            records = vh.contact_sweep(M, o, cfg.sweep_count, cfg.seed,
-                                       measure_jacobian=args.jacobian)
+            sweep = vh.contact_sweep(M, o, cfg.sweep_count, cfg.seed,
+                                     measure_jacobian=args.jacobian)
             render = (render_sweep_csv if cfg.format == "csv"
                       else render_sweep_json)
-            emit_report(render(records), cfg.output)
+            emit_report(render(sweep), cfg.output)
             return 0
         if not cfg.checks:
             raise HorocurvError("no checks requested")

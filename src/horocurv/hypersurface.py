@@ -201,13 +201,6 @@ def parse_surface(spec: str) -> RadiusProfile:
 # fundamental data
 # ---------------------------------------------------------------------------
 
-def _take(value, idx):
-    """Index the leading (node) axes of a stacked array or Point."""
-    if isinstance(value, Point):
-        return Point(value.space, tuple(p[idx] for p in value.parts))
-    return value[idx]
-
-
 def _join(values):
     """Concatenate stacked arrays or Points along the node axis."""
     if isinstance(values[0], Point):
@@ -242,7 +235,7 @@ class FundamentalData:
 
     def __getitem__(self, i) -> "FundamentalData":
         return FundamentalData(
-            x=_take(self.x, i), nu_coords=self.nu_coords[i],
+            x=self.x[i], nu_coords=self.nu_coords[i],
             onb_coords=self.onb_coords[i], a=self.a[i], GK=float(self.GK[i]),
             H=float(self.H[i]), area_weight=float(self.area_weight[i]),
             sym_residual=float(self.sym_residual[i]))
@@ -365,10 +358,10 @@ class Hypersurface:
                                  for k in blocks[0]}
         return self._chart_cache
 
-    def points_stack(self):
-        """Stacked factor arrays for all nodes (for batched evaluations)."""
+    def points_stack(self) -> Point:
+        """The surface points of all nodes as one stacked Point (cached)."""
         if self._points_cache is None:
-            self._points_cache = list(self._evaluate(self.params)[0].parts)
+            self._points_cache = self._evaluate(self.params)[0]
         return self._points_cache
 
     # -- fundamental forms ------------------------------------------------------
@@ -413,7 +406,7 @@ class Hypersurface:
         if self._forms_cache is None:
             c = self.grid_chart()
             data = _join_forms([self._forms(self.params[b],
-                                            {k: _take(v, b) for k, v in c.items()})[0]
+                                            {k: v[b] for k, v in c.items()})[0]
                                 for b in self._blocks()])
             data.area_weight = self.area_weights()
             self._forms_cache = data
@@ -456,20 +449,19 @@ class Hypersurface:
     def _diameter_search(self) -> float:
         if self.size == 1:
             return 0.0
-        stacks = self.points_stack()
+        pts = self.points_stack()
         step = max(1, self.size // _DIAM_SUBSAMPLE)
         idx = np.arange(0, self.size, step)
+        sub = pts[idx].parts
         best, pair = 0.0, (0, 0)
         for i in idx:
-            y = Point(self.space, tuple(s[i] for s in stacks))
-            d = self.space.distance_many([s[idx] for s in stacks], y)
+            d = self.space.distance_many(sub, pts[i])
             j = int(np.argmax(d))
             if d[j] > best:
                 best, pair = float(d[j]), (int(i), int(idx[j]))
         a, b = pair
         for _ in range(_DIAM_SWEEPS):
-            y = Point(self.space, tuple(s[a] for s in stacks))
-            d = self.space.distance_many(stacks, y)
+            d = self.space.distance_many(pts.parts, pts[a])
             b_new = int(np.argmax(d))
             if float(d[b_new]) <= best + 1e-15:
                 break

@@ -42,8 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (ConfigError, DegeneratePlaneError, InputDomainError,
-                     UnsupportedVolumeError)
+from .errors import ConfigError, DegeneratePlaneError, InputDomainError
 from .lie_structure import MatrixLieAlgebra, metric_scale_bound, restricted_roots
 from .numeric_kernel import _sym_stack, spd_inv_sqrt, sym_exp
 
@@ -65,9 +64,13 @@ def expm_frechet(*args, **kwargs):
 
 @dataclass(frozen=True)
 class Point:
-    """A point of a product space; one array per factor."""
+    """A point of a product space, or a stack of points; one array per
+    factor.  Indexing a stack indexes the leading axes of every part."""
     space: "SymmetricSpace"
     parts: tuple
+
+    def __getitem__(self, idx) -> "Point":
+        return Point(self.space, tuple(p[idx] for p in self.parts))
 
     def __repr__(self):
         return f"Point({[np.round(p, 6) for p in self.parts]})"

@@ -2,13 +2,13 @@
 
 Checks, each returning a VerificationReport:
 
-* contact_sweep / first_contact / jacobian_check -- horosphere
-  first-contact points of a Busemann foliation against a closed
-  hypersurface, the supporting second-order conditions there, and the
-  Gauss-map Jacobian bound J <= e^{n(n+1) kappa D} |GK|.  A sweep
-  searches all its directions in lockstep and builds their contact
-  records in one stacked pass; first_contact is that search for one
-  direction.
+* contact_check / jacobian_sweep_check -- horosphere first-contact
+  points of Busemann foliations against a closed hypersurface, the
+  supporting second-order conditions there, and the Gauss-map Jacobian
+  bound J <= e^{n(n+1) kappa D} |GK|.  first_contact searches a stack of
+  directions in lockstep and returns one ContactSweep table, a row per
+  direction; contact_sweep does so for a seeded sweep, and the checks
+  reduce the table's columns.
 * gauss_consistency_check, hessian_bounds_check, lipschitz_check -- the
   sampled Gauss-map and Busemann bounds, each one stacked evaluation of
   its nodes or of samples drawn in the rng order of a per-sample loop.
@@ -66,25 +66,23 @@ def ball_volume_euclidean(n_plus_1: int, r: float = 1.0) -> float:
 
 
 @dataclass
-class ContactNode:
-    node: np.ndarray              # chart parameters of the contact point
-    value: float                  # B_v at the node
-    s_residual: float             # |grad B_v(x) - nu(x)|
-    eig_min_support: float        # min eigenvalue of A - Hess B_v on T_xM
-    eig_min_hessian: float        # min eigenvalue of Hess B_v (ambient)
-    GK: float
-    jacobian: float | None        # |det dS_M| on T_xM; None if unmeasured
-    stencil_ok: bool              # False iff a requested jacobian failed
+class ContactSweep:
+    """First-contact data of the horosphere foliations of B_v against M,
+    one row per direction of the stack v."""
 
+    v: Tangent                    # (D,) unit directions at o
+    c_v: np.ndarray               # max of B_v over M, off the grid
+    params: np.ndarray            # (D, n) chart parameters of the maximizers
+    s_residual: np.ndarray        # |grad B_v(x) - nu(x)|
+    eig_min_support: np.ndarray   # min eigenvalue of A - Hess B_v on T_xM
+    eig_min_hessian: np.ndarray   # min eigenvalue of Hess B_v (ambient)
+    GK: np.ndarray
+    jacobian: np.ndarray          # |det dS_M| on T_xM; NaN if unmeasured
+    stencil_ok: np.ndarray        # False iff a requested jacobian failed
 
-@dataclass
-class ContactRecord:
-    """First-contact data of the horosphere foliation of B_v against M."""
-
-    v: Tangent
-    c_v: float                    # max of B_v over M, off the grid
-    tie_tol: float
-    contact: ContactNode          # at the maximizer of B_v
+    @property
+    def tie_tol(self) -> np.ndarray:
+        return TIE_TOL_BASE * (1.0 + np.abs(self.c_v))
 
 
 @dataclass
@@ -113,6 +111,12 @@ class VerificationReport:
                 "margin": float(self.margin), "pass": bool(self.passed),
                 "tolerances": self.tolerances, "seed": self.seed,
                 "runtime_ms": self.runtime_ms}
+
+
+def _need_samples(samples: int):
+    if samples < 1:
+        raise InputDomainError(f"samples must be at least 1, got {samples}: "
+                               "a check of no sample proves nothing")
 
 
 def _report(check, M, space, **kw):
@@ -180,7 +184,7 @@ def _ascend_max(M, bus: BusemannFunction, p, best):
     chart), chart the stacked chart at params, the one chart of each
     contact.
     """
-    from .hypersurface import _join, _take
+    from .hypersurface import _join
     space = M.space
     p, best = np.array(p, dtype=float), np.array(best, dtype=float)
     stopped, charts = [], []             # row indices and charts that stopped
@@ -191,8 +195,8 @@ def _ascend_max(M, bus: BusemannFunction, p, best):
         # directions rows[~keep] stop with their current chart
         nonlocal rows, chart
         stopped.append(rows[~keep])
-        charts.append({k: _take(v, ~keep) for k, v in chart.items()})
-        rows, chart = rows[keep], {k: _take(v, keep) for k, v in chart.items()}
+        charts.append({k: v[~keep] for k, v in chart.items()})
+        rows, chart = rows[keep], {k: v[keep] for k, v in chart.items()}
 
     for _ in range(ASCENT_STEPS):
         grad = space.tangent_to_coords(bus[rows].gradient(chart["x"]))
@@ -218,7 +222,7 @@ def _ascend_max(M, bus: BusemannFunction, p, best):
         chart = M.chart(p[rows])
     leave(np.zeros(len(rows), dtype=bool))
     order = np.argsort(np.concatenate(stopped))
-    return best, p, {k: _take(_join([c[k] for c in charts]), order)
+    return best, p, {k: _join([c[k] for c in charts])[order]
                      for k in charts[0]}
 
 
@@ -229,13 +233,13 @@ def _grid_argmax(M, bus: BusemannFunction, count: int):
     GRID_BLOCK_PAIRS pairs each, so factor work that depends on the node
     alone (the inverse of the translated SPD point) is done once per node.
     """
-    stacks = M.points_stack()
+    pts = M.points_stack()
     rows = bus[:, None]
     step = max(1, GRID_BLOCK_PAIRS // count)
     best = np.full(count, -math.inf)
     node = np.zeros(count, dtype=int)
     for s in range(0, M.size, step):
-        vals = rows.value(Point(M.space, tuple(x[s:s + step] for x in stacks)))
+        vals = rows.value(pts[s:s + step])
         j = np.argmax(vals, axis=-1)
         top = vals[np.arange(count), j]
         up = top > best
@@ -243,105 +247,65 @@ def _grid_argmax(M, bus: BusemannFunction, count: int):
     return node, best
 
 
-def _first_contacts(M, o: Point, vs, measure_jacobian: bool):
-    """Contact records of the directions vs: c_v = max_M B_v by the
-    lockstep ascent from the grid node with the largest B_v, and the records
-    at those off-grid points from one stacked pass over the ascent's last
-    charts: the fundamental forms and their stencils, the Busemann gradients
-    and Hessians, and the Gauss-map Jacobians from one translation of all
-    stencil points.  A Jacobian whose stencil fails the translation gate is
-    not measured (None), and only its own contact is marked."""
+def first_contact(M, o: Point, v: Tangent,
+                  measure_jacobian: bool = False) -> ContactSweep:
+    """The contact table of the (D,) direction stack v: c_v = max_M B_v by
+    the lockstep ascent from the grid node with the largest B_v, and the
+    rows at those off-grid points from one stacked pass over the ascent's
+    last charts: the fundamental forms and their stencils, the Busemann
+    gradients and Hessians, and the Gauss-map Jacobians from one
+    translation of all stencil points.  A Jacobian whose stencil fails the
+    translation gate is not measured (NaN), and only its own row is
+    marked."""
     space = M.space
-    bus = BusemannFunction(space, o, Tangent(space, o, tuple(
-        np.stack(parts) for parts in zip(*(v.parts for v in vs)))))
-    node, start = _grid_argmax(M, bus, len(vs))
+    count = len(v.parts[0])
+    bus = BusemannFunction(space, o, v)
+    node, start = _grid_argmax(M, bus, count)
     c_v, params, chart = _ascend_max(M, bus, M.params[node], start)
     data, stencil = M.fundamental_forms(params, chart)
     resid = space.norm(space.add(bus.gradient(data.x), space.scale(data.nu, -1.0)))
     hess = bus.hessian(data.x).a
     hess_tan = data.onb_coords @ hess @ np.swapaxes(data.onb_coords, -1, -2)
-    eig_support = np.min(np.linalg.eigvalsh(data.a - hess_tan), axis=-1)
-    eig_hess = np.min(np.linalg.eigvalsh(hess), axis=-1)
-    jac, ok = [None] * len(vs), np.zeros(len(vs), dtype=bool)
+    jac, ok = np.full(count, math.nan), np.ones(count, dtype=bool)
     if measure_jacobian:
         w, ok = gauss_differential(space, o, stencil)
         det = np.linalg.det(np.swapaxes(w, -1, -2) @ w)
-        jac = np.sqrt(np.maximum(det, 0.0)).tolist()
-    return [ContactRecord(
-        v=v, c_v=c, tie_tol=TIE_TOL_BASE * (1.0 + abs(c)),
-        contact=ContactNode(
-            node=params[i], value=c, s_residual=r, eig_min_support=es,
-            eig_min_hessian=eh, GK=gk, jacobian=j if good else None,
-            stencil_ok=good or not measure_jacobian))
-            for i, (v, c, r, es, eh, gk, j, good) in enumerate(zip(
-                vs, c_v.tolist(), resid.tolist(), eig_support.tolist(),
-                eig_hess.tolist(), data.GK.tolist(), jac, ok.tolist()))]
+        jac = np.where(ok, np.sqrt(np.maximum(det, 0.0)), math.nan)
+    return ContactSweep(
+        v=v, c_v=c_v, params=params, s_residual=resid,
+        eig_min_support=np.min(np.linalg.eigvalsh(data.a - hess_tan), axis=-1),
+        eig_min_hessian=np.min(np.linalg.eigvalsh(hess), axis=-1), GK=data.GK,
+        jacobian=jac, stencil_ok=ok)
 
 
-def first_contact(M, o: Point, v: Tangent,
-                  measure_jacobian: bool = False) -> ContactRecord:
-    """Contact level c_v = max_M B_v and second-order data at the maximizer
-    (the contact search of `contact_sweep` for the one direction v)."""
-    return _first_contacts(M, o, [v], measure_jacobian)[0]
-
-
-def sweep_directions(space: SymmetricSpace, o: Point, count: int, seed: int):
-    """Deterministic direction sample on the unit sphere at o."""
+def sweep_directions(space: SymmetricSpace, o: Point, count: int,
+                     seed: int) -> Tangent:
+    """Deterministic (count,) stack of unit directions at o."""
     rng = np.random.default_rng(seed)
-    return [space.random_unit_tangent(o, rng) for _ in range(count)]
+    return space.unit_tangent(o, rng.standard_normal((count, space.total_dim)))
 
 
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
-def jacobian_check(M, o: Point, contact: ContactRecord,
-                   diameter: float | None = None) -> VerificationReport:
-    """Supporting conditions and the Gauss-map Jacobian bound at the contact.
-
-    A - Hess B_v >= -1e-6, Hess B_v >= -1e-8 (both as minimum eigenvalues),
-    and the measured J = |det dS_M| obeys J <= e^{n(n+1) kappa D} |GK|
-    (1 + 1e-3).  A contact node whose Jacobian could not be measured (a
-    stencil chart or translation failed) is excluded from the Jacobian
-    comparison, mirroring the almost-everywhere scope of the area formula.
-    """
-    t0 = time.perf_counter()
-    space = M.space
-    n = M.n
-    kappa = space.curvature_lower_bound
-    d = diameter if diameter is not None else M.diameter_extrinsic()
-    cn = contact.contact
-    ok = not (cn.eig_min_support < EIG_FLOOR_SUPPORT
-              or cn.eig_min_hessian < EIG_FLOOR_HESS)
-    excluded = cn.jacobian is None
-    lhs = rhs = margin = 0.0
-    if not excluded:
-        lhs = cn.jacobian
-        rhs = math.exp(n * (n + 1) * kappa * d) * abs(cn.GK) * (1.0 + JAC_SLACK)
-        margin = rhs - lhs
-        if margin < 0.0:
-            ok = False
-    return _report(
-        "jacobian", M, space, diameter=d, lhs=lhs, rhs=rhs,
-        margin=margin, passed=ok,
-        tolerances={"eig_floor_support": EIG_FLOOR_SUPPORT,
-                    "eig_floor_hessian": EIG_FLOOR_HESS,
-                    "jacobian_slack": JAC_SLACK},
-        seed=0, runtime_ms=(time.perf_counter() - t0) * 1e3,
-        details={"stencil_excluded": excluded})
-
-
 def contact_sweep(M, o: Point, count: int = SWEEP_COUNT, seed: int = 42,
-                  measure_jacobian: bool = False):
-    """First-contact records for a deterministic sweep of directions, all
+                  measure_jacobian: bool = False) -> ContactSweep:
+    """The contact table of a deterministic sweep of directions, all
     searched in one lockstep ascent (`_ascend_max`).
 
     A sweep of no directions proves nothing and is an input error.
     """
     if count < 1:
         raise InputDomainError("the contact sweep needs sweep_count >= 1")
-    return _first_contacts(M, o, sweep_directions(M.space, o, count, seed),
-                           measure_jacobian)
+    return first_contact(M, o, sweep_directions(M.space, o, count, seed),
+                         measure_jacobian)
+
+
+def _floors_fail(sweep: ContactSweep) -> np.ndarray:
+    """Rows whose supporting eigenvalue floors fail (NaN fails)."""
+    return (~(sweep.eig_min_support >= EIG_FLOOR_SUPPORT)
+            | ~(sweep.eig_min_hessian >= EIG_FLOOR_HESS))
 
 
 def contact_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
@@ -349,21 +313,13 @@ def contact_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     """Direction sweep of the contact pipeline (no Jacobian measurement).
 
     Every direction must be matched (S_M residual <= 1e-3 at its contact
-    point) and the supporting eigenvalue floors must hold there.
+    point) and the supporting eigenvalue floors must hold there; a NaN
+    residual or eigenvalue fails.
     """
     t0 = time.perf_counter()
-    worst_resid = 0.0
-    worst_support = math.inf
-    worst_hess = math.inf
-    failures = 0
-    for rec in contact_sweep(M, o, sweep_count, seed):
-        cn = rec.contact
-        worst_resid = max(worst_resid, cn.s_residual)
-        worst_support = min(worst_support, cn.eig_min_support)
-        worst_hess = min(worst_hess, cn.eig_min_hessian)
-        if (cn.s_residual > RESID_TOL or cn.eig_min_support < EIG_FLOOR_SUPPORT
-                or cn.eig_min_hessian < EIG_FLOOR_HESS):
-            failures += 1
+    sweep = contact_sweep(M, o, sweep_count, seed)
+    worst_resid = float(np.max(sweep.s_residual))
+    failures = int(np.sum(~(sweep.s_residual <= RESID_TOL) | _floors_fail(sweep)))
     return _report(
         "contact", M, M.space, diameter=0.0, lhs=worst_resid, rhs=RESID_TOL,
         margin=RESID_TOL - worst_resid, passed=failures == 0,
@@ -372,38 +328,49 @@ def contact_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
                     "eig_floor_hessian": EIG_FLOOR_HESS},
         seed=seed, runtime_ms=(time.perf_counter() - t0) * 1e3,
         details={"sweep_count": sweep_count, "failures": failures,
-                 "worst_eig_support": worst_support,
-                 "worst_eig_hessian": worst_hess})
+                 "worst_eig_support": float(np.min(sweep.eig_min_support)),
+                 "worst_eig_hessian": float(np.min(sweep.eig_min_hessian))})
 
 
 def jacobian_sweep_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
                          seed: int = 42) -> VerificationReport:
-    """Jacobian bound at the contact points of a direction sweep.
+    """Supporting conditions and the Gauss-map Jacobian bound at the
+    contact points of a direction sweep.
 
-    Fails unless every record passes `jacobian_check`, at least one contact
-    node was measured, and at most STENCIL_EXCLUDED_MAX of the contact
-    nodes were stencil-excluded (a sweep that measured nothing proves
-    nothing).
+    At every contact A - Hess B_v >= -1e-6 and Hess B_v >= -1e-8 (both as
+    minimum eigenvalues), and every measured J = |det dS_M| obeys
+    J <= e^{n(n+1) kappa D} |GK| (1 + 1e-3); a NaN fails.  A contact whose
+    Jacobian could not be measured (a stencil point failed the translation
+    gate) is left out of the Jacobian comparison, mirroring the
+    almost-everywhere scope of the area formula.  Fails unless at least
+    one contact was measured and at most STENCIL_EXCLUDED_MAX of them were
+    excluded (a sweep that measured nothing proves nothing).  The report
+    shows the measured contact with the smallest margin.
     """
     t0 = time.perf_counter()
-    records = contact_sweep(M, o, sweep_count, seed, measure_jacobian=True)
+    sweep = contact_sweep(M, o, sweep_count, seed, measure_jacobian=True)
+    n, kappa = M.n, M.space.curvature_lower_bound
     d = M.diameter_extrinsic()
-    worst = None
-    ok = True
-    excluded = 0
-    for rec in records:
-        rep = jacobian_check(M, o, rec, diameter=d)
-        ok = ok and rep.passed
-        excluded += rep.details["stencil_excluded"]
-        if worst is None or rep.margin < worst.margin:
-            worst = rep
-    measured = sweep_count - excluded
-    ok = ok and measured > 0 and excluded <= STENCIL_EXCLUDED_MAX * sweep_count
+    measured = sweep.stencil_ok
+    rhs = math.exp(n * (n + 1) * kappa * d) * np.abs(sweep.GK) * (1.0 + JAC_SLACK)
+    margin = rhs - sweep.jacobian
+    bad = _floors_fail(sweep) | (measured & ~(margin >= 0.0))
+    count = int(np.sum(measured))
+    excluded = sweep_count - count
+    lhs_w = rhs_w = margin_w = 0.0
+    if count:
+        w = np.argmin(np.where(measured, margin, math.inf))
+        lhs_w, rhs_w, margin_w = sweep.jacobian[w], rhs[w], margin[w]
+    ok = (not bad.any() and count > 0
+          and excluded <= STENCIL_EXCLUDED_MAX * sweep_count)
     return _report(
-        "jacobian", M, M.space, diameter=d, lhs=worst.lhs, rhs=worst.rhs,
-        margin=worst.margin, passed=ok, tolerances=worst.tolerances,
+        "jacobian", M, M.space, diameter=d, lhs=lhs_w, rhs=rhs_w,
+        margin=margin_w, passed=ok,
+        tolerances={"eig_floor_support": EIG_FLOOR_SUPPORT,
+                    "eig_floor_hessian": EIG_FLOOR_HESS,
+                    "jacobian_slack": JAC_SLACK},
         seed=seed, runtime_ms=(time.perf_counter() - t0) * 1e3,
-        details={"sweep_count": sweep_count, "measured": measured,
+        details={"sweep_count": sweep_count, "measured": count,
                  "stencil_excluded": excluded})
 
 
@@ -412,25 +379,20 @@ def total_curvature_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
     """int_M |GK| >= e^{-n(n+1) kappa D} area(S^n), plus coverage sweep.
 
     The sweep asserts every sampled direction v has a contact node whose
-    Busemann gradient matches the outward normal to 1e-3 -- the sampled
-    form of "the Gauss map covers the sphere from the contact set".
-    A sweep of no directions covers nothing and is an input error.
+    Busemann gradient matches the outward normal to 1e-3 (a NaN residual
+    fails) -- the sampled form of "the Gauss map covers the sphere from
+    the contact set".  A sweep of no directions covers nothing and is an
+    input error.
     """
     t0 = time.perf_counter()
-    records = contact_sweep(M, o, sweep_count, seed)
+    sweep = contact_sweep(M, o, sweep_count, seed)
     space = M.space
     n = M.n
     kappa = space.curvature_lower_bound
     d = M.diameter_extrinsic()
     lhs = M.integrate("total_curvature")
     rhs = math.exp(-n * (n + 1) * kappa * d) * sphere_area(n)
-    sweep_failures = 0
-    worst_resid = 0.0
-    for rec in records:
-        resid = rec.contact.s_residual
-        worst_resid = max(worst_resid, resid)
-        if resid > RESID_TOL:
-            sweep_failures += 1
+    sweep_failures = int(np.sum(~(sweep.s_residual <= RESID_TOL)))
     margin = lhs - rhs
     passed = lhs >= rhs * (1.0 - INEQ_TOL) and sweep_failures == 0
     return _report(
@@ -439,7 +401,7 @@ def total_curvature_check(M, o: Point, sweep_count: int = SWEEP_COUNT,
         tolerances={"inequality": INEQ_TOL, "sweep_residual": RESID_TOL},
         seed=seed, runtime_ms=(time.perf_counter() - t0) * 1e3,
         details={"sweep_count": sweep_count, "sweep_failures": sweep_failures,
-                 "worst_sweep_residual": worst_resid})
+                 "worst_sweep_residual": float(np.max(sweep.s_residual))})
 
 
 def willmore_check(M, o: Point) -> VerificationReport:
@@ -506,6 +468,7 @@ def hessian_oracle_check(space: SymmetricSpace, o: Point, samples: int = 50,
     Random (v, x) with d(o, x) <= radius; pass iff the max entrywise
     difference stays below 1e-3.
     """
+    _need_samples(samples)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -534,6 +497,7 @@ def hessian_bounds_check(space: SymmetricSpace, o: Point, samples: int = 1000,
     ||Hess B_v - Hess B_v'||_op <= kappa (n+1) |grad B_v - grad B_v'|
     with relative slack 1e-6, over random (v, v', x).
     """
+    _need_samples(samples)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     kappa = space.curvature_lower_bound
@@ -567,6 +531,7 @@ def lipschitz_check(space: SymmetricSpace, o: Point, samples: int = 500,
                     ) -> VerificationReport:
     """Two-sided Lipschitz bound for fiber translation, as a report."""
     from .gauss_map import lipschitz_audit
+    _need_samples(samples)
     t0 = time.perf_counter()
     rep = lipschitz_audit(space, o, sample_size=samples, radius=radius,
                           seed=seed)
@@ -599,7 +564,7 @@ def gauss_consistency_check(M, o: Point, min_nodes: int = 1000,
     nodes = (np.arange(M.size) if M.size == min_nodes
              else np.sort(rng.choice(M.size, size=min_nodes, replace=False)))
     chart = M.grid_chart()
-    x = Point(space, tuple(p[nodes] for p in chart["x"].parts))
+    x = chart["x"][nodes]
     _, resid = translate_direction(
         space, o, x, space.coords_to_tangent(x, chart["nu"][nodes]))
     translated = resid <= TOL_GAUSS
@@ -627,6 +592,7 @@ def det_comparison_audit(dim: int, samples: int, seed: int
     """
     if dim > 10:
         raise InputDomainError("det comparison audit supports dim <= 10")
+    _need_samples(samples)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     violations = 0
@@ -676,6 +642,7 @@ def sqrt_perturbation_audit(dim: int, samples: int, seed: int
     """
     if dim > 12:
         raise InputDomainError("sqrt perturbation audit supports dim <= 12")
+    _need_samples(samples)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     violations = 0

@@ -209,7 +209,7 @@ def test_point_evaluators_agree(spec, surface, grid):
     # points_stack the stacked one; all three give the same surface point
     space = parse_space(spec)
     M = Hypersurface(space, space.origin(), parse_surface(surface), grid)
-    stacks = M.points_stack()
+    stacks = M.points_stack().parts
     for i, p in enumerate(M.params):
         for x in (M.embed(p), M.chart(p)["x"]):
             for part, stack in zip(x.parts, stacks):

@@ -9,7 +9,7 @@ from horocurv import gauss_map, verify_harness as vh
 from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
 from horocurv.hypersurface import Hypersurface, geodesic_sphere, radial_graph
-from horocurv.model_spaces import Point, Tangent, parse_space
+from horocurv.model_spaces import Tangent, parse_space
 from horocurv.numeric_kernel import op_norm, psd_sqrt
 
 
@@ -33,20 +33,36 @@ def h3_sphere(h3):
     return geodesic_sphere(h3, h3.origin(), 1.0, [24, 48])
 
 
+def _dirs(v, idx):
+    """The directions `idx` of a direction stack v."""
+    return Tangent(v.space, v.base, tuple(p[idx] for p in v.parts))
+
+
 def test_first_contact_euclidean_sphere(e3, e3_sphere):
     # [TRIVIAL] B_v = -<v, x> on the unit sphere: max 1 at x = -v
     o = e3.origin()
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        v = e3.random_unit_tangent(o, rng)
-        rec = vh.first_contact(e3_sphere, o, v)
-        assert abs(rec.c_v - 1.0) < 1e-9
-        cn = rec.contact
-        assert cn.s_residual < 1e-6
-        x = e3_sphere.embed(cn.node)
-        x_coords = np.asarray(x.parts[0])
-        v_coords = np.asarray(e3.tangent_to_coords(v))
-        assert np.max(np.abs(x_coords + v_coords)) < 1e-6
+    v = vh.sweep_directions(e3, o, 5, seed=0)
+    sweep = vh.first_contact(e3_sphere, o, v)
+    assert np.all(np.abs(sweep.c_v - 1.0) < 1e-9)
+    assert np.all(sweep.s_residual < 1e-6)
+    x = e3_sphere.embed(sweep.params)
+    assert np.max(np.abs(x.parts[0] + e3.tangent_to_coords(v))) < 1e-6
+
+
+def test_sweep_directions_match_one_draw_per_direction():
+    # the stacked draw takes the rng stream of one unit-tangent draw per
+    # direction, bit for bit, on every factor kind
+    for spec in ("euclidean:3", "hyperbolic:3,kappa=1", "spd:3",
+                 "euclidean:1xhyperbolic:2,kappa=0.8xspd:2"):
+        space = parse_space(spec)
+        o = space.origin()
+        for seed in (1, 2, 42):
+            stack = vh.sweep_directions(space, o, 50, seed)
+            rng = np.random.default_rng(seed)
+            for i in range(50):
+                one = space.random_unit_tangent(o, rng)
+                for a, b in zip(stack.parts, one.parts):
+                    assert np.array_equal(a[i], b)
 
 
 @pytest.mark.parametrize("spec,r,grid", [("euclidean:3", 1.0, [24, 48]),
@@ -62,17 +78,16 @@ def test_first_contact_sphere_closed_form(spec, r, grid):
     o = space.origin()
     M = geodesic_sphere(space, o, r, grid)
     for seed in (1, 2, 3):
-        for rec in vh.contact_sweep(M, o, 10, seed):
-            assert abs(rec.c_v - r) < 1e-12
-            assert rec.contact.s_residual < 1e-6
+        sweep = vh.contact_sweep(M, o, 10, seed)
+        assert np.all(np.abs(sweep.c_v - r) < 1e-12)
+        assert np.all(sweep.s_residual < 1e-6)
 
 
 def test_supporting_conditions(h3, h3_sphere):
     o = h3.origin()
-    v = h3.random_unit_tangent(o, np.random.default_rng(2))
-    cn = vh.first_contact(h3_sphere, o, v).contact
-    assert cn.eig_min_support >= vh.EIG_FLOOR_SUPPORT
-    assert cn.eig_min_hessian >= vh.EIG_FLOOR_HESS
+    sweep = vh.first_contact(h3_sphere, o, vh.sweep_directions(h3, o, 1, 2))
+    assert sweep.eig_min_support[0] >= vh.EIG_FLOOR_SUPPORT
+    assert sweep.eig_min_hessian[0] >= vh.EIG_FLOOR_HESS
 
 
 def test_jacobian_h3_closed_forms(h3, h3_sphere, e3, e3_sphere):
@@ -81,25 +96,24 @@ def test_jacobian_h3_closed_forms(h3, h3_sphere, e3, e3_sphere):
     # for every sweep direction of seeds 1-3.  On the H^3 sphere r=0.5,
     # J = 1/sinh^2(0.5) with the stencil step h = 1e-4 * 0.5.
     o = h3.origin()
-    d = h3_sphere.diameter_extrinsic()
     small = geodesic_sphere(h3, o, 0.5, [24, 48])
     for seed in (1, 2, 3):
-        for rec in vh.contact_sweep(small, o, 10, seed, measure_jacobian=True):
-            assert rec.contact.stencil_ok
-            assert abs(rec.contact.jacobian - 1.0 / math.sinh(0.5) ** 2) < 1e-4
-        for rec in vh.contact_sweep(h3_sphere, o, 10, seed,
-                                    measure_jacobian=True):
-            cn = rec.contact
-            assert cn.stencil_ok
-            assert abs(cn.jacobian - 1.0 / math.sinh(1.0) ** 2) < 1e-4
-            assert abs(cn.GK - 1.0 / math.tanh(1.0) ** 2) < 1e-4
-            rep = vh.jacobian_check(h3_sphere, o, rec, diameter=d)
-            assert rep.passed
-            assert rep.margin > 0.0
-        for rec in vh.contact_sweep(e3_sphere, e3.origin(), 10, seed,
-                                    measure_jacobian=True):
-            assert rec.contact.stencil_ok
-            assert abs(rec.contact.jacobian - 1.0) < 1e-5
+        sweep = vh.contact_sweep(small, o, 10, seed, measure_jacobian=True)
+        assert sweep.stencil_ok.all()
+        assert np.all(np.abs(sweep.jacobian - 1.0 / math.sinh(0.5) ** 2) < 1e-4)
+        sweep = vh.contact_sweep(h3_sphere, o, 10, seed, measure_jacobian=True)
+        assert sweep.stencil_ok.all()
+        assert np.all(np.abs(sweep.jacobian - 1.0 / math.sinh(1.0) ** 2) < 1e-4)
+        assert np.all(np.abs(sweep.GK - 1.0 / math.tanh(1.0) ** 2) < 1e-4)
+        # the worst margin of the sweep is positive, so every margin is
+        rep = vh.jacobian_sweep_check(h3_sphere, o, 10, seed)
+        assert rep.passed
+        assert rep.margin > 0.0
+        assert rep.details["measured"] == 10
+        sweep = vh.contact_sweep(e3_sphere, e3.origin(), 10, seed,
+                                 measure_jacobian=True)
+        assert sweep.stencil_ok.all()
+        assert np.all(np.abs(sweep.jacobian - 1.0) < 1e-5)
 
 
 def test_one_chart_per_contact(h3, monkeypatch):
@@ -117,12 +131,14 @@ def test_one_chart_per_contact(h3, monkeypatch):
 
     monkeypatch.setattr(Hypersurface, "chart", counted)
     o = h3.origin()
-    for v in vh.sweep_directions(h3, o, 3, seed=3):
+    vs = vh.sweep_directions(h3, o, 3, seed=3)
+    for i in range(3):
         shapes.clear()
         at.clear()
-        cn = vh.first_contact(M, o, v, measure_jacobian=True).contact
-        assert cn.jacobian is not None
-        assert sum(p.shape[0] == 1 and np.array_equal(p[0], cn.node)
+        one = vh.first_contact(M, o, _dirs(vs, slice(i, i + 1)),
+                               measure_jacobian=True)
+        assert one.stencil_ok[0] and np.isfinite(one.jacobian[0])
+        assert sum(p.shape[0] == 1 and np.array_equal(p[0], one.params[0])
                    for p in at) == 1
         assert ([s for s in shapes if s[-3:] == (M.n, 2, M.n)]
                 == [(1, M.n, 2, M.n)])
@@ -144,8 +160,8 @@ def test_sweep_translates_stencils_in_one_call(h3, monkeypatch):
 
     monkeypatch.setattr(Hypersurface, "chart", counted)
     d = 5
-    recs = vh.contact_sweep(M, h3.origin(), d, seed=3, measure_jacobian=True)
-    assert all(rec.contact.stencil_ok for rec in recs)
+    sweep = vh.contact_sweep(M, h3.origin(), d, seed=3, measure_jacobian=True)
+    assert sweep.stencil_ok.all()
     assert len(calls) == 1
     assert ([s for s in shapes if s[-3:] == (M.n, 2, M.n)]
             == [(d, M.n, 2, M.n)])
@@ -168,10 +184,9 @@ def test_stencil_gate_marks_only_its_contact(h3, monkeypatch):
     monkeypatch.setattr(Hypersurface, "fundamental_forms", corrupt)
     with np.errstate(divide="ignore", invalid="ignore"):
         gated = vh.contact_sweep(M, o, 4, seed=5, measure_jacobian=True)
-    assert [rec.contact.stencil_ok for rec in gated] == [True, False, True, True]
-    assert gated[1].contact.jacobian is None
-    for i in (0, 2, 3):
-        assert gated[i].contact.jacobian == clean[i].contact.jacobian
+    assert gated.stencil_ok.tolist() == [True, False, True, True]
+    assert math.isnan(gated.jacobian[1])
+    assert np.array_equal(gated.jacobian[[0, 2, 3]], clean.jacobian[[0, 2, 3]])
 
 
 def _surface(spec, surface, r, grid):
@@ -180,12 +195,6 @@ def _surface(spec, surface, r, grid):
     if surface == "graph":
         return space, o, radial_graph(space, o, r, "latitude", 0.2, grid)
     return space, o, geodesic_sphere(space, o, r, grid)
-
-
-def _stack(space, o, vs):
-    """One Tangent holding the directions vs along a leading axis."""
-    return Tangent(space, o, tuple(np.stack(parts)
-                                   for parts in zip(*(v.parts for v in vs))))
 
 
 @pytest.mark.parametrize("spec,surface,r,grid", [
@@ -208,13 +217,15 @@ def test_lockstep_sweep_matches_single_directions(spec, surface, r, grid,
     sweep = vh.contact_sweep(M, o, k, seed=7, measure_jacobian=True)
     sweep_calls = len(calls)
     single_calls = []
-    for v, rec in zip(vh.sweep_directions(space, o, k, seed=7), sweep):
+    vs = vh.sweep_directions(space, o, k, seed=7)
+    for i in range(k):
         calls.clear()
-        one = vh.first_contact(M, o, v, measure_jacobian=True)
+        one = vh.first_contact(M, o, _dirs(vs, slice(i, i + 1)),
+                               measure_jacobian=True)
         single_calls.append(len(calls))
-        assert abs(rec.c_v - one.c_v) <= 1e-13 * abs(one.c_v)
-        for a, b in ((rec.contact.GK, one.contact.GK),
-                     (rec.contact.jacobian, one.contact.jacobian)):
+        assert abs(sweep.c_v[i] - one.c_v[0]) <= 1e-13 * abs(one.c_v[0])
+        for a, b in ((sweep.GK[i], one.GK[0]),
+                     (sweep.jacobian[i], one.jacobian[0])):
             assert abs(a - b) <= 1e-6 * abs(b)
     assert sweep_calls <= max(single_calls)
 
@@ -225,10 +236,10 @@ def test_grid_argmax_blocks_match_full_table(h3, monkeypatch):
     M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [8, 16])
     o = h3.origin()
     vs = vh.sweep_directions(h3, o, 7, seed=4)
-    bus = BusemannFunction(h3, o, _stack(h3, o, vs))
-    table = bus[:, None].value(Point(h3, tuple(M.points_stack())))
+    bus = BusemannFunction(h3, o, vs)
+    table = bus[:, None].value(M.points_stack())
     monkeypatch.setattr(vh, "GRID_BLOCK_PAIRS", 50)     # 7 nodes per block
-    node, best = vh._grid_argmax(M, bus, len(vs))
+    node, best = vh._grid_argmax(M, bus, 7)
     assert np.array_equal(node, np.argmax(table, axis=-1))
     assert np.array_equal(best, np.max(table, axis=-1))
 
@@ -241,21 +252,17 @@ def test_stacked_objective_marks_only_domain_rows(h3):
     vs = vh.sweep_directions(h3, o, 5, seed=3)
     q = M.params[[0, 9, 40, 77, 120]].copy()
     q[2, 0] = 1.2
-    vals = vh._surface_values(M, BusemannFunction(h3, o, _stack(h3, o, vs)), q)
+    vals = vh._surface_values(M, BusemannFunction(h3, o, vs), q)
     assert vals[2] == -math.inf
     for i in (0, 1, 3, 4):
-        one = BusemannFunction(h3, o, vs[i]).value(M.embed(q[i]))
+        one = BusemannFunction(h3, o, _dirs(vs, i)).value(M.embed(q[i]))
         assert abs(vals[i] - one) <= 1e-12 * abs(one)
 
 
 def test_jacobian_euclidean_equality(e3, e3_sphere):
     # [TRIVIAL] unit sphere, kappa = 0: J == GK == 1, bound tight up to slack
-    o = e3.origin()
-    v = e3.random_unit_tangent(o, np.random.default_rng(4))
-    rec = vh.first_contact(e3_sphere, o, v, measure_jacobian=True)
-    cn = rec.contact
-    assert abs(cn.jacobian - 1.0) < 1e-5
-    rep = vh.jacobian_check(e3_sphere, o, rec)
+    rep = vh.jacobian_sweep_check(e3_sphere, e3.origin(), 1, seed=4)
+    assert abs(rep.lhs - 1.0) < 1e-5          # the measured J
     assert rep.passed
     assert rep.margin < 2e-3 + 1e-5   # only the slack factor remains
 
@@ -332,10 +339,10 @@ def test_contact_level_continuity(h3):
     o = h3.origin()
     d = M.diameter_extrinsic()
     vs = vh.sweep_directions(h3, o, 12, seed=5)
-    recs = [vh.first_contact(M, o, v) for v in vs]
-    for i in range(len(vs) - 1):
-        dv = h3.norm(h3.add(vs[i], h3.scale(vs[i + 1], -1.0)))
-        assert abs(recs[i].c_v - recs[i + 1].c_v) <= d * dv + 1e-6
+    c_v = vh.first_contact(M, o, vs).c_v
+    dv = h3.norm(h3.add(_dirs(vs, slice(None, -1)),
+                        h3.scale(_dirs(vs, slice(1, None)), -1.0)))
+    assert np.all(np.abs(np.diff(c_v)) <= d * dv + 1e-6)
 
 
 def test_contact_level_monotone_in_radius(h3):
@@ -343,9 +350,9 @@ def test_contact_level_monotone_in_radius(h3):
     o = h3.origin()
     small = geodesic_sphere(h3, o, 0.6, [16, 32])
     big = radial_graph(h3, o, 0.8, "coord", 0.1, [16, 32])  # radius >= 0.72
-    for v in vh.sweep_directions(h3, o, 6, seed=6):
-        assert (vh.first_contact(big, o, v).c_v
-                >= vh.first_contact(small, o, v).c_v - 1e-9)
+    vs = vh.sweep_directions(h3, o, 6, seed=6)
+    assert np.all(vh.first_contact(big, o, vs).c_v
+                  >= vh.first_contact(small, o, vs).c_v - 1e-9)
 
 
 def test_det_comparison_audit_cases():
@@ -418,16 +425,17 @@ def test_jacobian_sweep_fails_when_nothing_measured(e3, monkeypatch):
 
 def test_unmeasured_jacobian_clears_stencil_ok(e3, e3_sphere, monkeypatch):
     # stencil_ok is 0 exactly when a requested Jacobian could not be
-    # measured, and jacobian_check leaves that contact out
+    # measured, and the jacobian check leaves that contact out
     o = e3.origin()
-    v = e3.random_unit_tangent(o, np.random.default_rng(5))
-    assert vh.first_contact(e3_sphere, o, v).contact.stencil_ok
+    v = vh.sweep_directions(e3, o, 1, seed=5)
+    assert vh.first_contact(e3_sphere, o, v).stencil_ok[0]
 
     monkeypatch.setattr(vh, "gauss_differential", _all_gated)
-    rec = vh.first_contact(e3_sphere, o, v, measure_jacobian=True)
-    assert rec.contact.jacobian is None
-    assert not rec.contact.stencil_ok
-    assert vh.jacobian_check(e3_sphere, o, rec).details["stencil_excluded"]
+    sweep = vh.first_contact(e3_sphere, o, v, measure_jacobian=True)
+    assert math.isnan(sweep.jacobian[0])
+    assert not sweep.stencil_ok[0]
+    rep = vh.jacobian_sweep_check(e3_sphere, o, 1, seed=5)
+    assert rep.details["stencil_excluded"] == 1
 
 
 @pytest.mark.parametrize("check", [vh.jacobian_sweep_check, vh.contact_check,
@@ -439,3 +447,74 @@ def test_empty_sweep_is_input_error(e3, check):
     M = geodesic_sphere(e3, e3.origin(), 1.0, [12, 24])
     with pytest.raises(InputDomainError):
         check(M, e3.origin(), 0)
+
+
+def _corrupt_row(monkeypatch, field):
+    # row 1 of a contact table's fundamental data is NaN in `field`
+    forms = Hypersurface.fundamental_forms
+
+    def corrupt(self, params, chart):
+        data, stencil = forms(self, params, chart)
+        getattr(data, field)[1] = np.nan
+        return data, stencil
+
+    monkeypatch.setattr(Hypersurface, "fundamental_forms", corrupt)
+
+
+def test_nan_contact_fails_sweep_gates(h3, monkeypatch):
+    # a NaN residual or Jacobian margin fails its gate and is counted; it
+    # does not pass every comparison vacuously
+    M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [16, 32])
+    o = h3.origin()
+    _corrupt_row(monkeypatch, "nu_coords")
+    rep = vh.contact_check(M, o, 4, seed=5)
+    assert not rep.passed
+    assert rep.details["failures"] == 1
+    rep = vh.total_curvature_check(M, o, 4, seed=5)
+    assert not rep.passed
+    assert rep.details["sweep_failures"] == 1
+    monkeypatch.undo()
+    _corrupt_row(monkeypatch, "GK")        # a NaN bound, so a NaN margin
+    rep = vh.jacobian_sweep_check(M, o, 4, seed=5)
+    assert not rep.passed
+    assert math.isnan(rep.margin)
+
+
+def test_jacobian_report_shows_worst_measured_contact(h3, monkeypatch):
+    # one stencil-excluded contact of 20: the report shows the measured
+    # contact with the smallest margin, not the excluded one
+    M = radial_graph(h3, h3.origin(), 1.0, "latitude", 0.2, [16, 32])
+    o = h3.origin()
+    clean = vh.contact_sweep(M, o, 20, seed=5, measure_jacobian=True)
+    differential = gauss_map.gauss_differential
+
+    def gate_one(space, o, stencil):
+        w, ok = differential(space, o, stencil)
+        return w, ok & (np.arange(len(ok)) != 3)
+
+    monkeypatch.setattr(vh, "gauss_differential", gate_one)
+    rep = vh.jacobian_sweep_check(M, o, 20, seed=5)
+    assert rep.passed
+    assert rep.details["stencil_excluded"] == 1
+    n, d = M.n, M.diameter_extrinsic()
+    bound = (math.exp(n * (n + 1) * h3.curvature_lower_bound * d)
+             * np.abs(clean.GK) * (1.0 + vh.JAC_SLACK))
+    margin = np.where(np.arange(20) == 3, np.inf, bound - clean.jacobian)
+    w = np.argmin(margin)
+    assert rep.lhs == pytest.approx(clean.jacobian[w], rel=1e-12)
+    assert rep.rhs == pytest.approx(bound[w], rel=1e-12)
+    assert rep.margin == pytest.approx(margin[w], rel=1e-12)
+
+
+@pytest.mark.parametrize("check", [
+    lambda s: vh.hessian_bounds_check(s, s.origin(), samples=0),
+    lambda s: vh.lipschitz_check(s, s.origin(), samples=0),
+    lambda s: vh.hessian_oracle_check(s, s.origin(), samples=0),
+    lambda s: vh.det_comparison_audit(3, 0, seed=1),
+    lambda s: vh.sqrt_perturbation_audit(3, 0, seed=1)],
+    ids=["hessian-bounds", "lipschitz", "hessian-oracle", "det-audit",
+         "sqrt-audit"])
+def test_zero_samples_is_input_error(check):
+    # a sampled check of no sample proves nothing: rejected, not passed
+    with pytest.raises(InputDomainError):
+        check(parse_space("spd:3"))
