@@ -146,6 +146,9 @@ def lipschitz_audit(space: SymmetricSpace, o: Point, sample_size: int = 100,
     """
     if radius <= 0.0:
         raise InputDomainError("audit radius must be positive")
+    if sample_size < 1:
+        raise InputDomainError(f"an audit of {sample_size} samples proves "
+                               "nothing")
     rng = np.random.default_rng(seed)
     x, c1, c2 = random_samples(space, o, rng, sample_size, radius)
     u, u2 = space.unit_tangent(x, c1), space.unit_tangent(x, c2)

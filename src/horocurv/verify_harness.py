@@ -51,7 +51,8 @@ ASCENT_STEPS = 40
 ASCENT_MAX_MOVE = 0.5          # largest parameter move (rad) per line search
 STENCIL_EXCLUDED_MAX = 0.1     # share of sweep contact nodes
 GRID_BLOCK_PAIRS = 1 << 16     # direction-node pairs per grid argmax block
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+LINE_POINTS = 8                # uniform abscissae per line search
+LINE_SHRINKS = 5               # fan shrinks of a row whose first point is off
 
 
 def sphere_area(n: int) -> float:
@@ -147,25 +148,38 @@ def _surface_values(M, bus, q):
                                _surface_values(M, bus[h:], q[h:])])
 
 
-def _golden_max(g, b, iters: int):
-    """Golden-section search for maximizers of g on the intervals [0, b].
-
-    b is a stack of interval ends and g maps a stack of abscissae, one per
-    interval, to their values, so every interval keeps the comparisons of
-    a scalar search.  Returns (s, g(s)), stacked like b.
+def _line_max(g, t_max, g0, slope):
+    """Maximizers of line functions g_i on (0, t_max_i], a row each, from two
+    stacked calls of g: LINE_POINTS abscissae j*h, then the vertex of the
+    parabola through the best one and its neighbours (through g0 = g(0),
+    g'(0) = slope and g(h) when t = 0 is best).  g(i, t) maps abscissae t
+    (len(i), m) of rows i to values, -inf off the chart; a row whose first
+    abscissa is off the chart and gains nothing shrinks h by LINE_POINTS,
+    at most LINE_SHRINKS times.  Returns (s, g(s)), (0, g0) if none gains.
     """
-    a = np.zeros_like(b)
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        right = gc < gd                  # keep [c, b], else [a, d]
-        a, b = np.where(right, c, a), np.where(right, b, d)
-        c, d = (np.where(right, d, b - _INVPHI * (b - a)),
-                np.where(right, a + _INVPHI * (b - a), c))
-        new = g(np.where(right, d, c))
-        gc, gd = np.where(right, gd, new), np.where(right, new, gc)
-    top = gc >= gd
-    return np.where(top, c, d), np.where(top, gc, gd)
+    j = np.arange(1, LINE_POINTS + 1)
+    h = t_max / LINE_POINTS
+    vals = g(np.arange(len(h)), h[:, None] * j)
+    for _ in range(LINE_SHRINKS):
+        lost = np.flatnonzero(np.isneginf(vals[:, 0]) & ~(vals.max(-1) > g0))
+        if not len(lost):
+            break
+        h[lost] /= LINE_POINTS
+        vals[lost] = g(lost, h[lost, None] * j)
+    ext = np.column_stack([g0, vals, np.full(len(h), -math.inf)])
+    j = np.argmax(ext[:, :-1], axis=-1)                 # g(j h) is the best
+    lo, mid, hi = np.take_along_axis(ext, j[:, None] + [-1, 0, 1], axis=1).T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(j > 0, h * (j + 0.5 * (lo - hi) / (lo - 2.0 * mid + hi)),
+                     slope * h * h / (2.0 * (slope * h + g0 - hi)))
+    # NaN or 0 where a neighbour is off the chart or the line is flat
+    vertex = np.flatnonzero(np.isfinite(t) & (t > 0.0))
+    s, val = j * h, mid
+    if len(vertex):
+        top = g(vertex, t[vertex, None])[:, 0]
+        up = top > val[vertex]
+        s[vertex[up]], val[vertex[up]] = t[vertex[up]], top[up]
+    return s, val
 
 
 def _ascend_max(M, bus: BusemannFunction, p, best):
@@ -174,15 +188,14 @@ def _ascend_max(M, bus: BusemannFunction, p, best):
 
     Each step follows the chart projection of grad B_v (steepest ascent in
     the surface metric, which is coordinate-free and conditions well near
-    chart poles) with a golden line search, one stacked chart and gradient
-    per step and one stacked embed and value per line-search point for the
-    directions still ascending.  A direction stops at machine-level
-    residuals, or when a step gains nothing, and keeps its current chart.
-    The line search moves no parameter by more than ASCENT_MAX_MOVE: from a
-    coarse grid node a longer step makes B_v multimodal along the line, and
-    the search would settle on a lower mode.  Returns (values, params,
-    chart), chart the stacked chart at params, the one chart of each
-    contact.
+    chart poles) and a line search (`_line_max`): per step one stacked
+    chart and gradient and two stacked embeds and values for the directions
+    still ascending.  A direction stops at machine-level residuals, or when
+    a step gains nothing, and keeps its current chart.  The line search
+    moves no parameter by more than ASCENT_MAX_MOVE: from a coarse grid
+    node a longer step makes B_v multimodal along the line, and the search
+    would settle on a lower mode.  Returns (values, params, chart), chart
+    the stacked chart at params, the one chart of each contact.
     """
     from .hypersurface import _join
     space = M.space
@@ -210,9 +223,13 @@ def _ascend_max(M, bus: BusemannFunction, p, best):
         dp = dp[go]
         # ascent step ~ inverse curvature of B on M, capped in parameter space
         t_max = np.minimum(4.0, ASCENT_MAX_MOVE / np.max(np.abs(dp), axis=-1))
-        b, start = bus[rows], p[rows]
-        s, val = _golden_max(
-            lambda t: _surface_values(M, b, start + t[:, None] * dp), t_max, 20)
+        start = p[rows]
+
+        def g(i, t):         # B_v at start + t dp on ascending rows i
+            q = start[i, None] + t[..., None] * dp[i, None]
+            return _surface_values(M, bus[np.repeat(rows[i], t.shape[1])],
+                                   q.reshape(-1, M.n)).reshape(t.shape)
+        s, val = _line_max(g, t_max, best[rows], gnorm[go] ** 2)
         up = ~(val <= best[rows])
         leave(up)
         if not len(rows):
@@ -258,6 +275,9 @@ def first_contact(M, o: Point, v: Tangent,
     translation gate is not measured (NaN), and only its own row is
     marked."""
     space = M.space
+    if np.ndim(v.parts[0]) != space.factors[0].point_ndim + 1:
+        raise InputDomainError("first_contact takes a (D,) stack of directions,"
+                               f" got a part of shape {np.shape(v.parts[0])}")
     count = len(v.parts[0])
     bus = BusemannFunction(space, o, v)
     node, start = _grid_argmax(M, bus, count)
@@ -531,7 +551,6 @@ def lipschitz_check(space: SymmetricSpace, o: Point, samples: int = 500,
                     ) -> VerificationReport:
     """Two-sided Lipschitz bound for fiber translation, as a report."""
     from .gauss_map import lipschitz_audit
-    _need_samples(samples)
     t0 = time.perf_counter()
     rep = lipschitz_audit(space, o, sample_size=samples, radius=radius,
                           seed=seed)

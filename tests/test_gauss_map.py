@@ -93,6 +93,14 @@ def test_lipschitz_audit_passes(spec):
     assert rep.worst_upper_ratio <= 1.0 + 1e-4
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_lipschitz_audit_of_no_sample_is_input_error(size):
+    # an audit of no sample proves nothing: rejected, not passed
+    space = parse_space("spd:3")
+    with pytest.raises(InputDomainError):
+        lipschitz_audit(space, space.origin(), sample_size=size, seed=1)
+
+
 def test_lipschitz_euclidean_ratio_exactly_one():
     # [PAPER] flat case: translation is an isometry of directions
     space = parse_space("euclidean:3")

@@ -59,6 +59,15 @@ REL_TOL = {"c_v": 1e-13, "tie_tol": 1e-13, "GK": 1e-6, "jacobian": 1e-6,
 # the Hessian eigenvalue along grad B_v): an absolute tolerance, far below
 # their gates
 ABS_TOL = {"s_residual": 1e-6, "eig_min_hessian": 1e-12}
+# a report field that carries one sweep quantity takes that quantity's
+# tolerance: a contact report's lhs is its worst s_residual (and its
+# margin RESID_TOL - lhs), a jacobian report's lhs and rhs are one
+# contact's J and e^{n(n+1) kappa D} |GK|
+REPORT_QUANTITY = {("contact", "lhs"): "s_residual",
+                   ("contact", "margin"): "s_residual",
+                   ("jacobian", "lhs"): "jacobian",
+                   ("jacobian", "rhs"): "jacobian"}
+MARGIN_REL_TOL = {"jacobian": REL_TOL["jacobian"]}     # else 1e-9
 EXACT = {"check", "space", "surface", "grid", "pass", "tolerances", "seed",
          "direction", "stencil_ok"}
 
@@ -78,9 +87,10 @@ def _close(key, got, want, row) -> bool:
     if want is None or got is None or want == "" or got == "":
         return got == want
     got, want = float(got), float(want)
+    key = REPORT_QUANTITY.get((row.get("check"), key), key)
     if key == "margin":            # a difference of lhs and rhs
         scale = max(abs(float(row["lhs"])), abs(float(row["rhs"])))
-        return abs(got - want) <= 1e-9 * scale
+        return abs(got - want) <= MARGIN_REL_TOL.get(row["check"], 1e-9) * scale
     if key in ABS_TOL:
         return abs(got - want) <= ABS_TOL[key]
     return abs(got - want) <= REL_TOL[key] * abs(want)

@@ -518,3 +518,130 @@ def test_zero_samples_is_input_error(check):
     # a sampled check of no sample proves nothing: rejected, not passed
     with pytest.raises(InputDomainError):
         check(parse_space("spd:3"))
+
+
+def test_first_contact_rejects_a_direction_without_stack_axis(e3):
+    # one unstacked direction is not a (D,) stack: a typed input error
+    M = geodesic_sphere(e3, e3.origin(), 1.0, [8, 16])
+    o = e3.origin()
+    v = e3.random_unit_tangent(o, np.random.default_rng(1))
+    with pytest.raises(InputDomainError, match=r"\(D,\) stack"):
+        vh.first_contact(M, o, v)
+
+
+def _lines(peak, top, cut=math.inf):
+    """Concave parabolas top - (t - peak)^2 per row, -inf beyond `cut`,
+    as a `_line_max` objective that records every abscissa it is given."""
+    peak, top = np.asarray(peak, float), np.asarray(top, float)
+    cut = np.broadcast_to(cut, peak.shape)
+    seen = []
+
+    def g(i, t):
+        seen.append((i, t))
+        val = top[i, None] - (t - peak[i, None]) ** 2
+        return np.where(t > cut[i, None], -math.inf, val)
+    return g, seen, top - peak ** 2, 2.0 * peak
+
+
+def test_line_max_interior_vertex():
+    # an interior maximum of a concave parabola is the parabola's vertex,
+    # in two stacked calls over all rows
+    peak = np.array([0.37, 0.5, 0.9123])
+    g, seen, g0, slope = _lines(peak, [1.0, -2.0, 3.0])
+    s, val = vh._line_max(g, np.ones(3), g0, slope)
+    assert np.max(np.abs(s - peak)) < 1e-12
+    assert np.max(np.abs(val - [1.0, -2.0, 3.0])) < 1e-12
+    assert len(seen) == 2
+
+
+def test_line_max_beyond_t_max_gives_t_max():
+    g, seen, g0, slope = _lines([2.0, 7.5], [0.0, 1.0])
+    t_max = np.array([1.0, 0.25])
+    s, val = vh._line_max(g, t_max, g0, slope)
+    assert np.array_equal(s, t_max)
+    assert np.allclose(val, g(np.arange(2), t_max[:, None])[:, 0])
+
+
+def test_line_max_below_first_abscissa_uses_the_slope():
+    # the maximizer lies in (0, h) and every abscissa is below g(0): the
+    # parabola through g(0), g'(0) and g(h) finds it
+    peak = np.array([0.01, 0.05])
+    g, seen, g0, slope = _lines(peak, [1.0, 2.0])
+    s, val = vh._line_max(g, np.ones(2), g0, slope)
+    assert np.all(seen[0][1] > peak[:, None])
+    assert np.max(np.abs(s - peak)) < 1e-12
+    assert np.all(val > g0)
+
+
+def test_line_max_off_chart_rows():
+    # row 0 leaves the chart beyond t = 0.01: its fan shrinks until the
+    # first abscissa is on the chart, and it finds the maximum; row 1 is
+    # off the chart everywhere and gains nothing; row 2 is untouched by
+    # the shrinks of the others
+    g, seen, g0, slope = _lines([0.004, 0.3, 0.3], [1.0, 1.0, 1.0],
+                                cut=[0.01, 0.0, math.inf])
+    t_max = np.ones(3)
+    s, val = vh._line_max(g, t_max, g0, slope)
+    assert abs(s[0] - 0.004) < 1e-12 and abs(val[0] - 1.0) < 1e-12
+    assert s[1] == 0.0 and val[1] == g0[1]
+    assert abs(s[2] - 0.3) < 1e-12
+    assert all(2 not in i for i, _ in seen[1:-1])
+    for i, t in seen:
+        assert np.all((t > 0.0) & (t <= t_max[i, None]))
+
+
+def test_line_max_never_below_g0_and_rows_independent():
+    # non-concave lines: the result is g(s) with s in [0, t_max], never
+    # below g(0), and each row's result is the one it gets alone
+    rng = np.random.default_rng(3)
+    freq, phase = rng.uniform(5.0, 60.0, 40), rng.uniform(0.0, 6.0, 40)
+
+    def g(i, t):
+        return np.sin(freq[i, None] * t + phase[i, None]) + 0.1 * t
+
+    g0 = np.sin(phase)
+    slope = freq * np.cos(phase) + 0.1
+    t_max = rng.uniform(0.1, 2.0, 40)
+    s, val = vh._line_max(g, t_max, g0, slope)
+    assert np.all(val >= g0)
+    assert np.all((s >= 0.0) & (s <= t_max))
+    moved = s > 0.0
+    assert np.array_equal(val[moved], g(np.flatnonzero(moved), s[moved, None])[:, 0])
+    assert np.array_equal(val[~moved], g0[~moved])
+    for r in range(40):
+        one = vh._line_max(lambda i, t: g(np.full_like(i, r), t),
+                           t_max[[r]], g0[[r]], slope[[r]])
+        assert one[0][0] == s[r] and one[1][0] == val[r]
+
+
+def test_nonconvex_graph_sweep():
+    # a strongly perturbed H^3 latitude graph, where B_v is not concave on
+    # M: every contact is at least the grid maximum, matched to the normal
+    # and supporting
+    h3 = parse_space("hyperbolic:3,kappa=1")
+    o = h3.origin()
+    M = radial_graph(h3, o, 1.0, "latitude", 0.8, [48, 96])
+    v = vh.sweep_directions(h3, o, 200, seed=1)
+    _, grid_max = vh._grid_argmax(M, BusemannFunction(h3, o, v), 200)
+    sweep = vh.first_contact(M, o, v)
+    assert np.all(sweep.c_v >= grid_max)
+    assert np.all(sweep.s_residual <= vh.RESID_TOL)
+    assert not vh._floors_fail(sweep).any()
+
+
+def test_two_embeds_per_line_search(monkeypatch):
+    # the contact ascent costs two stacked embeds per line search (a fan of
+    # abscissae and the parabola vertices), not one per search point
+    space = parse_space("spd:3")
+    o = space.origin()
+    M = geodesic_sphere(space, o, 0.5, [4] * 4)
+    embeds, searches = [], []
+    embed, line_max = Hypersurface.embed, vh._line_max
+    monkeypatch.setattr(Hypersurface, "embed",
+                        lambda self, params: embeds.append(1) or embed(self,
+                                                                       params))
+    monkeypatch.setattr(vh, "_line_max",
+                        lambda *args: searches.append(1) or line_max(*args))
+    vh.contact_sweep(M, o, 4, seed=1)
+    assert len(searches) > 0
+    assert len(embeds) == 2 * len(searches)
