@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -278,13 +279,14 @@ def build_parser():
                     "inequalities on nonpositively curved symmetric spaces")
     sub = ap.add_subparsers(dest="command", required=True)
     pv = sub.add_parser("verify", help="run named verification checks")
-    pv.add_argument("checks", nargs="+", metavar="CHECK",
-                    help=f"one of: {', '.join(CHECK_NAMES)}")
+    pv.add_argument("checks", nargs="*", metavar="CHECK",
+                    help=f"one of: {', '.join(CHECK_NAMES)} "
+                         "(default: the config file's checks)")
     _add_common(pv, [f.name for f in fields(SuiteConfig)])
     pa = sub.add_parser("audit", help="standalone matrix inequality audits")
     pa.add_argument("checks", nargs="*", metavar="AUDIT",
-                    default=["det-audit", "sqrt-audit"],
-                    help="det-audit and/or sqrt-audit (default: both)")
+                    help="det-audit and/or sqrt-audit (default: the config "
+                         "file's checks, else both)")
     _add_common(pa, _AUDIT_OPTIONS)
     ps = sub.add_parser("sweep", help="per-direction contact records")
     ps.add_argument("--jacobian", action="store_true",
@@ -302,6 +304,8 @@ def config_from_args(args) -> SuiteConfig:
             cfg = parse_config_text(fh.read(), cfg)
     if getattr(args, "checks", None):
         cfg.checks = list(args.checks)
+    elif not cfg.checks and args.command == "audit":   # none given: both
+        cfg.checks = ["det-audit", "sqrt-audit"]
     for f in fields(SuiteConfig):
         if f.name != "checks" and hasattr(args, f.name):
             setattr(cfg, f.name, getattr(args, f.name))
@@ -344,5 +348,13 @@ def main(argv=None) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def run():
+    """Process entry point: main(), then exit with the heap frozen, which
+    the exit-time collections skip; main() leaves the heap collectable."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

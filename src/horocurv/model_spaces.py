@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DegeneratePlaneError, InputDomainError
-from .lie_structure import MatrixLieAlgebra, metric_scale_bound, restricted_roots
+from .lie_structure import MatrixLieAlgebra, restricted_roots
 from .numeric_kernel import _sym_stack, spd_inv_sqrt, sym_exp
 
 POINT_TOL = 1e-10
@@ -678,12 +678,6 @@ class SymmetricSpace:
         if self.total_dim < 2:
             raise ConfigError("total dimension must be at least 2")
         self._kappa = max(f.curvature_lower_bound() for f in factors)
-        for f in factors:
-            if f.kind == "spd":
-                bound = metric_scale_bound(f.root_datum, self._kappa)
-                if f.lam < bound * (1.0 - 1e-12):
-                    raise ConfigError(
-                        f"metric scale {f.lam} below admissible bound {bound}")
 
     # -- construction and parsing ------------------------------------------
 

@@ -1,5 +1,6 @@
 """CLI: exit codes, report schema, determinism, config round trip."""
 
+import gc
 import json
 import os
 import re
@@ -309,6 +310,65 @@ def test_cli_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_run_freezes_after_main_returns(monkeypatch):
+    # the process entry point freezes the heap once main has returned, and
+    # exits with main's code; an argparse exit leaves before the freeze
+    from horocurv import cli
+    events = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    for code in (0, 1, 2):
+        events.clear()
+        monkeypatch.setattr(cli, "main",
+                            lambda: events.append("main") or code)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        assert events == ["main", "freeze"]
+
+    def usage_error():
+        raise SystemExit(2)
+
+    events.clear()
+    monkeypatch.setattr(cli, "main", usage_error)
+    with pytest.raises(SystemExit):
+        cli.run()
+    assert events == []
+
+
+def test_main_leaves_heap_unfrozen(capsys):
+    # in-process callers keep a collectable heap
+    frozen = gc.get_freeze_count()
+    assert main(["verify", "det-audit", "--samples", "5"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("space,code", [("euclidean:3", 0), ("weird:9", 2)])
+def test_process_entry_point(tmp_path, capsys, space, code):
+    # `python -m horocurv.cli` writes the whole report and exits as
+    # in-process main does
+    argv = ["verify", "total-curvature", "--space", space, "--grid", "8x16",
+            "--sweep-count", "2", "--output"]
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "horocurv.cli"] + argv
+        + [str(tmp_path / "child.json")],
+        capture_output=True, text=True, env=_child_env(root), cwd=root,
+        timeout=300)
+    assert main(argv + [str(tmp_path / "main.json")]) == code
+    capsys.readouterr()
+    assert proc.returncode == code, proc.stderr[-2000:]
+    if code:
+        assert "horocurv: error" in proc.stderr
+        assert not (tmp_path / "child.json").exists()
+        return
+    child, ref = (json.loads((tmp_path / name).read_text())
+                  for name in ("child.json", "main.json"))
+    for r in child + ref:
+        del r["runtime_ms"]
+    assert child == ref
+
+
 def test_reports_byte_stable_modulo_runtime():
     cfg = SuiteConfig(checks=["det-audit", "sqrt-audit"], samples=50, seed=3)
     a = render_reports(run_suite(cfg), "json")
@@ -339,6 +399,42 @@ def test_config_file_drives_run(tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert reports[0]["seed"] == 5
+    # with no positional check the file's checks run
+    assert main(["verify", "--config", str(path)]) == 0
+    replay = json.loads(capsys.readouterr().out)
+    for r in reports + replay:
+        del r["runtime_ms"]
+    assert replay == reports
+
+
+def _checks_run(capsys, argv):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, [r["check"] for r in json.loads(out)] if rc == 0 else err
+
+
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_checks_from_flag_or_config(tmp_path, capsys, command):
+    # a SuiteConfig.to_text file replays its own run, checks included, and
+    # positional checks win over the file's
+    path = tmp_path / "suite.cfg"
+    path.write_text(SuiteConfig(checks=["det-audit"], samples=5).to_text())
+    argv = [command, "--config", str(path)]
+    assert _checks_run(capsys, argv) == (0, ["det-audit"])
+    assert _checks_run(capsys, argv + ["sqrt-audit"]) == (0, ["sqrt-audit"])
+
+
+def test_checks_default(tmp_path, capsys):
+    # with no checks in the flags or the file, audit runs both audits and
+    # verify is a configuration error
+    path = tmp_path / "suite.cfg"
+    path.write_text("samples = 5\n")
+    assert _checks_run(capsys, ["audit", "--config", str(path)]) == (
+        0, ["det-audit", "sqrt-audit"])
+    for argv in (["verify", "--config", str(path)], ["verify"]):
+        rc, err = _checks_run(capsys, argv)
+        assert rc == 2
+        assert "no checks requested" in err
 
 
 def test_config_rejects_unknown_keys():
