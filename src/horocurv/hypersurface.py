@@ -41,6 +41,7 @@ H_SHAPE_REL = 1e-4
 _GRAM_DET_TOL = 1e-12
 _BLOCK = 256                   # grid nodes per batched chart/forms evaluation
 _DIAM_SUBSAMPLE = 400          # grid nodes in the dense diameter search
+_DIAM_BLOCK_PAIRS = 1 << 14    # node pairs per distance call of that search
 _DIAM_SWEEPS = 4               # alternating rounds against the full grid
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
@@ -159,22 +160,24 @@ class RadiusProfile:
 
     Modes: "coord" uses the first sphere coordinate; "latitude" uses
     sin(latitude), which for our charts is the same first coordinate
-    (cos of the polar angle).  amp = 0 gives a geodesic sphere.
+    (cos of the polar angle).  amp = 0 gives a geodesic sphere.  base may
+    also be an array, one radius per node of the parameter stack.
     """
 
-    def __init__(self, base: float, mode: str = "coord", amp: float = 0.0):
-        if base <= 0.0:
+    def __init__(self, base, mode: str = "coord", amp: float = 0.0):
+        if np.any(np.asarray(base) <= 0.0):
             raise InputDomainError("radius must be positive")
         if mode not in ("coord", "latitude"):
             raise ConfigError(f"unknown radial mode {mode!r}")
         if abs(amp) >= 1.0:
             raise InputDomainError("amplitude must keep the radius positive")
-        self.base, self.mode, self.amp = float(base), mode, float(amp)
+        self.base = np.asarray(base, dtype=float) if np.ndim(base) else float(base)
+        self.mode, self.amp = mode, float(amp)
 
     def __call__(self, e, de):
         """(r, dr/dparams) for directions e (..., n+1) and jacobians de."""
         r = self.base * (1.0 + self.amp * e[..., 0])
-        dr = self.base * self.amp * de[..., 0, :]
+        dr = np.expand_dims(self.base * self.amp, -1) * de[..., 0, :]
         return r, dr
 
     def spec(self) -> str:
@@ -327,7 +330,7 @@ class Hypersurface:
         # degeneracy is about linear dependence, so compare against the
         # product of the tangent norms (near-pole Jacobians are honestly tiny)
         rel = det / np.prod(np.diagonal(gram, axis1=-2, axis2=-1), axis=-1)
-        if np.any(rel < _GRAM_DET_TOL):
+        if np.any(~(rel >= _GRAM_DET_TOL)):     # NaN (0/0 Gram) fails too
             raise ChartDegeneracyError(
                 f"chart frame degenerate (relative Gram det {np.min(rel):.3e})")
         # unit normal: orthogonal complement of the chart tangents
@@ -438,9 +441,9 @@ class Hypersurface:
         """Max pairwise ambient distance over the grid (an under-estimate,
         cached).
 
-        Dense max over a subsample of about _DIAM_SUBSAMPLE nodes, then up
-        to _DIAM_SWEEPS rounds of alternating maximization against the full
-        grid from the best pair.
+        Dense max over a subsample of about _DIAM_SUBSAMPLE nodes, blocks of
+        whole rows per distance call, then up to _DIAM_SWEEPS rounds of
+        alternating maximization against the full grid from the best pair.
         """
         if self._diameter is None:
             self._diameter = self._diameter_search()
@@ -450,15 +453,16 @@ class Hypersurface:
         if self.size == 1:
             return 0.0
         pts = self.points_stack()
-        step = max(1, self.size // _DIAM_SUBSAMPLE)
-        idx = np.arange(0, self.size, step)
-        sub = pts[idx].parts
+        idx = np.arange(0, self.size, max(1, self.size // _DIAM_SUBSAMPLE))
+        sub, rows = pts[idx], max(1, _DIAM_BLOCK_PAIRS // len(idx))
         best, pair = 0.0, (0, 0)
-        for i in idx:
-            d = self.space.distance_many(sub, pts[i])
-            j = int(np.argmax(d))
-            if d[j] > best:
-                best, pair = float(d[j]), (int(i), int(idx[j]))
+        for s in range(0, len(idx), rows):
+            # the first maximum in row-major (i, j) order, > across blocks
+            d = self.space.distance_many(sub.parts, Point(
+                self.space, self.space.insert_axes(sub[s:s + rows].parts)))
+            i, j = np.unravel_index(np.argmax(d), d.shape)
+            if d[i, j] > best:
+                best, pair = float(d[i, j]), (int(idx[s + i]), int(idx[j]))
         a, b = pair
         for _ in range(_DIAM_SWEEPS):
             d = self.space.distance_many(pts.parts, pts[a])
@@ -485,20 +489,21 @@ def ball_volume(space: SymmetricSpace, center: Point, r: float,
     """vol of the geodesic ball: radial quadrature of sphere areas.
 
     Only supported on products of constant-curvature factors (geodesic
-    spheres foliate the ball and the area integrand is smooth in s).
+    spheres foliate the ball and the area integrand is smooth in s).  The
+    (radial node x grid node) stack is charted 2n _BLOCK nodes per call.
     """
     if not space.constant_curvature_only():
         raise UnsupportedVolumeError(
             "ball volume needs constant-curvature factors only")
-    if r <= 0.0:
-        raise InputDomainError("radius must be positive")
     n = space.total_dim - 1
     if grid_counts is None:
         grid_counts = [32, 64] if n == 2 else [8] * n
+    sphere = geodesic_sphere(space, center, r, grid_counts)
     t, wt = np.polynomial.legendre.leggauss(radial_nodes)
-    s_nodes = 0.5 * r * (t + 1.0)
-    total = 0.0
-    for s, w in zip(s_nodes, wt):
-        area = geodesic_sphere(space, center, float(s), grid_counts).integrate("area")
-        total += 0.5 * r * w * area
-    return total
+    radii = np.repeat(0.5 * r * (t + 1.0), sphere.size)
+    params, step, jac = np.tile(sphere.params, (radial_nodes, 1)), 2 * n * _BLOCK, []
+    for b in range(0, len(radii), step):     # step: a `_forms` stencil chart
+        sphere.profile = RadiusProfile(radii[b:b + step])    # radius per node
+        jac.append(sphere.chart(params[b:b + step])["jacobian"])
+    weights = sphere.param_weights * np.concatenate(jac).reshape(radial_nodes, -1)
+    return sum(0.5 * r * w * np.sum(a) for w, a in zip(wt, weights))  # node order

@@ -88,6 +88,16 @@ class Tangent:
 # factors
 # ---------------------------------------------------------------------------
 
+def _require_finite(name: str, kappa: float, *derived: float):
+    """ConfigError naming the metric parameter `name` unless kappa, kappa^2,
+    1/kappa^2 and the other quantities derived from it are finite, > 0."""
+    k2 = kappa * kappa
+    for q in (kappa, k2, 1.0 / k2 if k2 else 0.0, *derived):
+        if not 0.0 < q < math.inf:
+            raise ConfigError(f"{name} out of range (curvature scale "
+                              f"{kappa:.3g}, a closed-form term {q:.3g})")
+
+
 class EuclideanFactor:
     kind = "euclidean"
     point_ndim = 1
@@ -120,7 +130,10 @@ class EuclideanFactor:
         return y - x
 
     def dist(self, xs, y):
-        return np.linalg.norm(xs - y, axis=-1)
+        # norm(axis=-1) bit for bit below 8 coordinates (numpy's pairwise
+        # sum is sequential there), without its slow short-axis reduce
+        w = xs - y
+        return np.sqrt(sum(w[..., k] * w[..., k] for k in range(self.dim)))
 
     def transport(self, x, y, v):
         return np.zeros(np.broadcast(x, y, v).shape) + v
@@ -185,8 +198,7 @@ class HyperbolicFactor:
     def __init__(self, dim: int, kappa: float):
         if dim < 2:
             raise ConfigError("Hyperbolic factor needs dim >= 2")
-        if not kappa > 0:
-            raise ConfigError("Hyperbolic curvature scale must be positive")
+        _require_finite("kappa", float(kappa))
         self.dim = dim
         self.kappa = float(kappa)
 
@@ -372,8 +384,10 @@ class SPDFactor:
         if lam is None:
             lam = self.root_datum.max_root_norm ** 2  # makes kappa = 1 (up to margin)
         if not lam > 0:
-            raise ConfigError("SPD metric scale must be positive")
+            raise ConfigError("SPD metric scale lambda must be positive")
         self.lam = float(lam)
+        _require_finite("lambda", self.curvature_lower_bound(), self.lam,
+                        self.metric_coef())
         self.dim = n * (n + 1) // 2 - 1
         # the beta_theta-orthonormal basis of p, and the g-orthonormal frame
         # of the tangent space at the identity it gives for g = lam * beta

@@ -125,6 +125,35 @@ def test_empty_grid_exit_two(capsys, space, grid):
     assert "at least one node per axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["total-curvature", "--surface", "geodesic-sphere:r=1e-320",
+     "--sweep-count", "2"],
+    ["isoperimetric", "--radius", "1e-320"]],
+    ids=["total-curvature", "isoperimetric"])
+def test_underflowing_radius_is_chart_degeneracy(capsys, argv):
+    # the Gram matrix underflows to 0 and its relative det is 0/0 = NaN:
+    # the degeneracy gate fails on NaN, before the ascent or the report
+    rc = main(["verify", *argv, "--space", "hyperbolic:3,kappa=1",
+               "--grid", "4x8"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert "chart frame degenerate" in err
+
+
+@pytest.mark.parametrize("space,name", [
+    ("hyperbolic:3,kappa=1e-200", "kappa"), ("hyperbolic:3,kappa=1e999", "kappa"),
+    ("spd:3,lambda=1e999", "lambda"), ("spd:3,lambda=5e-324", "lambda")])
+def test_metric_parameter_out_of_range_exit_two(capsys, space, name):
+    # kappa^2, 1/kappa^2 (the SPD factor's kappa_f) and the SPD metric
+    # coefficient must be finite and non-zero: a config error at parse time
+    grid = "3^4" if space.startswith("spd") else "4x8"
+    rc = main(["verify", "total-curvature", "--space", space, "--grid", grid,
+               "--sweep-count", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert name in err and "Traceback" not in err
+
+
 def test_negative_seed_exit_two(tmp_path, capsys):
     argv = ["verify", "total-curvature", "--space", "euclidean:3",
             "--grid", "6x12", "--sweep-count", "1"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from horocurv import hypersurface as hs
 from horocurv.errors import (ChartDegeneracyError, ConfigError,
                              InputDomainError, UnsupportedVolumeError)
 from horocurv.hypersurface import (Hypersurface, RadiusProfile, ball_volume,
@@ -163,6 +164,123 @@ def test_ball_volume_rejects_spd():
     space = parse_space("spd:3")
     with pytest.raises(UnsupportedVolumeError):
         ball_volume(space, space.origin(), 0.5)
+
+
+def _diameter_by_rows(M):
+    """The diameter search with its dense part one subsample row per
+    distance call: (diameter, anchor node of the first sweep)."""
+    pts = M.points_stack()
+    idx = np.arange(0, M.size, max(1, M.size // hs._DIAM_SUBSAMPLE))
+    sub = pts[idx].parts
+    best, pair = 0.0, (0, 0)
+    for i in idx:
+        d = M.space.distance_many(sub, pts[i])
+        j = int(np.argmax(d))
+        if d[j] > best:
+            best, pair = float(d[j]), (int(i), int(idx[j]))
+    a, b = pair
+    anchor = a
+    for _ in range(hs._DIAM_SWEEPS):
+        d = M.space.distance_many(pts.parts, pts[a])
+        b_new = int(np.argmax(d))
+        if float(d[b_new]) <= best + 1e-15:
+            break
+        best, b = float(d[b_new]), b_new
+        a, b = b, a
+    return best, anchor
+
+
+@pytest.mark.parametrize("space,surface,grid", [
+    ("euclidean:3", "geodesic-sphere:r=1", "16x32"),
+    ("hyperbolic:3,kappa=1", "geodesic-sphere:r=1", "8x16"),
+    ("spd:3", "geodesic-sphere:r=0.5", "3^4"),
+    ("euclidean:1xhyperbolic:2,kappa=0.8",
+     "radial-graph:base=1,mode=coord,amp=0.3", "16x32"),
+], ids=["e3-sphere", "h3-sphere", "spd-sphere", "e1xh2-graph"])
+@pytest.mark.parametrize("rows", [None, 5], ids=["default", "5-rows"])
+def test_blocked_diameter_matches_row_loop(space, surface, grid, rows,
+                                           monkeypatch):
+    # the dense search over blocks of whole rows is the row loop bit for
+    # bit, and on the many antipodal ties of a sphere it keeps the loop's
+    # first maximal pair: the sweeps start from the same anchor node
+    space = parse_space(space)
+    M = Hypersurface(space, space.origin(), parse_surface(surface),
+                     parse_grid(grid, space.total_dim - 1))
+    reference, anchor = _diameter_by_rows(M)
+    if rows is not None:            # blocks of 5 rows; a ragged last block
+        subsample = len(range(0, M.size, max(1, M.size // hs._DIAM_SUBSAMPLE)))
+        assert subsample % rows
+        monkeypatch.setattr(hs, "_DIAM_BLOCK_PAIRS", rows * subsample + 5)
+    ys = []
+    many = space.distance_many
+    monkeypatch.setattr(space, "distance_many",
+                        lambda xs, y: ys.append(y) or many(xs, y))
+    assert M.diameter_extrinsic() == reference
+    sweep = [y for y in ys if y.parts[0].ndim == space.factors[0].point_ndim]
+    assert all(np.array_equal(p, q) for p, q
+               in zip(sweep[0].parts, M.points_stack()[anchor].parts))
+
+
+def test_euclidean_dist_is_norm_bitwise():
+    # the explicit sum of squares is np.linalg.norm(axis=-1) bit for bit
+    rng = np.random.default_rng(7)
+    for dim in range(1, 8):
+        f = parse_space(f"euclidean:{dim}xhyperbolic:2").factors[0]
+        xs, y = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(
+            -8, 8, size=(300, 1)), rng.normal(size=dim)
+        assert np.array_equal(f.dist(xs, y), np.linalg.norm(xs - y, axis=-1))
+
+
+def _volume_by_spheres(space, r, radial_nodes, grid_counts):
+    """ball_volume as one geodesic sphere per radial node."""
+    t, wt = np.polynomial.legendre.leggauss(radial_nodes)
+    total = 0.0
+    for s, w in zip(0.5 * r * (t + 1.0), wt):
+        area = geodesic_sphere(space, space.origin(), float(s),
+                               grid_counts).integrate("area")
+        total += 0.5 * r * w * area
+    return total
+
+
+@pytest.mark.parametrize("spec,r,grid", [
+    ("euclidean:3", 1.0, [4, 8]),
+    ("hyperbolic:3,kappa=1", 0.5, [4, 8]),
+    ("hyperbolic:3,kappa=1", 1.0, [6, 12]),
+    ("euclidean:1xhyperbolic:2,kappa=0.8", 0.7, [8, 16]),
+])
+@pytest.mark.parametrize("block", [None, 7], ids=["default", "ragged"])
+def test_stacked_ball_volume_matches_sphere_loop(spec, r, grid, block,
+                                                 monkeypatch):
+    # the (radial node x grid node) stack gives every sphere's area and the
+    # radial sum bit for bit, also when chart blocks split spheres
+    space = parse_space(spec)
+    reference = _volume_by_spheres(space, r, 24, grid)
+    if block is not None:
+        monkeypatch.setattr(hs, "_BLOCK", block)
+    assert ball_volume(space, space.origin(), r, grid_counts=grid) == reference
+
+
+@pytest.mark.parametrize("block,calls", [(None, 1), (64, 3)])
+def test_ball_volume_one_chart_per_block(h3, block, calls, monkeypatch):
+    # 24 radial spheres of 32 nodes: one chart call per block of the
+    # 768-node stack, not one per radial node
+    if block is not None:
+        monkeypatch.setattr(hs, "_BLOCK", block)     # 2n * 64 = 256 nodes
+    seen = []
+    chart = Hypersurface.chart
+    monkeypatch.setattr(Hypersurface, "chart",
+                        lambda self, *a, **k: seen.append(1) or chart(self, *a, **k))
+    ball_volume(h3, h3.origin(), 0.5, grid_counts=[4, 8])
+    assert len(seen) == calls
+
+
+def test_radius_profile_stack():
+    p = RadiusProfile(np.array([0.5, 1.0, 2.0]))
+    e = np.tile([1.0, 0.0, 0.0], (3, 1))
+    r, dr = p(e, np.zeros((3, 3, 2)))
+    assert np.array_equal(r, [0.5, 1.0, 2.0]) and dr.shape == (3, 2)
+    with pytest.raises(InputDomainError):
+        RadiusProfile(np.array([0.5, 0.0]))
 
 
 def test_spd_sphere_mesh_injective():
