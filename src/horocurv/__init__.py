@@ -3,7 +3,9 @@ on nonpositively curved symmetric spaces.
 
 Layering (each module depends only on earlier ones):
 numeric_kernel -> lie_structure -> model_spaces -> busemann -> gauss_map
--> hypersurface -> verify_harness -> cli.
+-> hypersurface -> verify_harness -> cli.  lie_structure holds the closed
+forms of sl(n,R) (orthonormal basis, root norm, ad matrices); the tests
+check them against the numeric derivation in tests/oracles.py.
 """
 
 __version__ = "0.1.0"

@@ -329,7 +329,8 @@ class Hypersurface:
             det = np.linalg.det(gram)
         # degeneracy is about linear dependence, so compare against the
         # product of the tangent norms (near-pole Jacobians are honestly tiny)
-        rel = det / np.prod(np.diagonal(gram, axis1=-2, axis2=-1), axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rel = det / np.prod(np.diagonal(gram, axis1=-2, axis2=-1), axis=-1)
         if np.any(~(rel >= _GRAM_DET_TOL)):     # NaN (0/0 Gram) fails too
             raise ChartDegeneracyError(
                 f"chart frame degenerate (relative Gram det {np.min(rel):.3e})")

@@ -38,12 +38,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from . import lie_structure
 from .errors import ConfigError, DegeneratePlaneError, InputDomainError
-from .lie_structure import MatrixLieAlgebra, restricted_roots
 from .numeric_kernel import _sym_stack, spd_inv_sqrt, sym_exp
 
 POINT_TOL = 1e-10
@@ -379,19 +378,17 @@ class SPDFactor:
         if n < 2:
             raise ConfigError("SPD factor needs n >= 2")
         self.n = n
-        self.algebra = _sl_algebra(n)
-        self.root_datum = restricted_roots(self.algebra)
         if lam is None:
-            lam = self.root_datum.max_root_norm ** 2  # makes kappa = 1 (up to margin)
+            lam = 1.0 / n  # max|alpha|^2: makes kappa = 1 (up to margin)
         if not lam > 0:
             raise ConfigError("SPD metric scale lambda must be positive")
         self.lam = float(lam)
         _require_finite("lambda", self.curvature_lower_bound(), self.lam,
                         self.metric_coef())
-        self.dim = n * (n + 1) // 2 - 1
+        self.dim = lie_structure.p_dim(n)
         # the beta_theta-orthonormal basis of p, and the g-orthonormal frame
         # of the tangent space at the identity it gives for g = lam * beta
-        self._p_basis = np.stack(self.algebra.p_basis_matrices())
+        self._p_basis = lie_structure.basis(n)[:self.dim]
         self._frame_identity = 2.0 * self._p_basis / math.sqrt(self.lam)
 
     def spec(self):
@@ -494,7 +491,7 @@ class SPDFactor:
         The closed form for a noncompact symmetric space with metric
         lam * Killing (Helgason, Ch. V), inflated by SPD_CURVATURE_MARGIN.
         """
-        return (self.root_datum.max_root_norm / math.sqrt(self.lam)
+        return (lie_structure.max_root_norm(self.n) / math.sqrt(self.lam)
                 * (1.0 + SPD_CURVATURE_MARGIN))
 
     def sectional_numerator(self, x, u, v):
@@ -669,11 +666,6 @@ def _mpmath_spd_distance(x0si, k, delta, t, scale):
         for i in range(n):
             total += mp.log(w[i]) ** 2
         return float(scale * mp.sqrt(total))
-
-
-@lru_cache(maxsize=None)
-def _sl_algebra(n: int) -> MatrixLieAlgebra:
-    return MatrixLieAlgebra("sl", n)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .busemann import BusemannFunction
 from .errors import InputDomainError
 from .gauss_map import (TOL_GAUSS, gauss_differential, random_samples,
                         translate_direction)
-from .lie_structure import MatrixLieAlgebra
+from .lie_structure import ad_matrix, basis, p_dim
 from .model_spaces import Point, SymmetricSpace, Tangent
 from .numeric_kernel import op_norm, psd_sqrt
 
@@ -645,12 +645,6 @@ def det_comparison_audit(dim: int, samples: int, seed: int
         details={"dim": dim, "samples": samples})
 
 
-def _random_p_element(alg: MatrixLieAlgebra, rng):
-    mats = alg.p_basis_matrices()
-    c = rng.standard_normal(len(mats))
-    return sum(ci * m for ci, m in zip(c, mats))
-
-
 def sqrt_perturbation_audit(dim: int, samples: int, seed: int
                             ) -> VerificationReport:
     """||sqrt(A^2) - sqrt(B^2)||_op <= sqrt(dim) ||A - B||_op for symmetric A, B.
@@ -683,13 +677,10 @@ def sqrt_perturbation_audit(dim: int, samples: int, seed: int
         b = 0.5 * (g + g.T)
         check(a, b)
     for n in (2, 3):
-        alg = MatrixLieAlgebra("sl", n)
-        per = max(1, samples // 10)
-        for _ in range(per):
-            u = _random_p_element(alg, rng)
-            u2 = _random_p_element(alg, rng)
-            ad1 = alg.ad_matrix_ortho(u)
-            ad2 = alg.ad_matrix_ortho(u2)
+        # pairs of random p-elements, drawn in the order of a per-pair loop
+        p_basis = basis(n)[:p_dim(n)]
+        c = rng.standard_normal((max(1, samples // 10), 2, len(p_basis)))
+        for ad1, ad2 in ad_matrix(np.tensordot(c, p_basis, axes=1)):
             check(0.5 * (ad1 + ad1.T), 0.5 * (ad2 + ad2.T))
     return _report(
         "sqrt-audit", None, None, surface="-", grid="-",

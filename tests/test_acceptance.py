@@ -15,9 +15,8 @@ from horocurv import verify_harness as vh
 from horocurv.busemann import BusemannFunction
 from horocurv.gauss_map import lipschitz_audit
 from horocurv.hypersurface import ball_volume, geodesic_sphere, radial_graph
-from horocurv.lie_structure import (MatrixLieAlgebra, metric_scale_bound,
-                                    restricted_roots)
 from horocurv.model_spaces import parse_space
+from oracles import MatrixLieAlgebra, metric_scale_bound, restricted_roots
 
 _CACHE = {}
 

@@ -9,6 +9,7 @@ from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
 from horocurv.model_spaces import Point, Tangent, parse_space
 from horocurv.numeric_kernel import psd_sqrt, spd_inv_sqrt
+from oracles import sl
 
 SPD_SPECS = ["spd:2", "spd:3", "spd:4,lambda=2.5"]
 
@@ -198,8 +199,8 @@ def _ad_oracle_hessian(f, data, x):
     Its own error is about 1e-8: the zero eigenvalues of ad_u^2 come out
     as +-1e-16, and their square roots as 1e-8.
     """
-    ad = f.algebra.ad_matrix_ortho(_spd_gradient_at_identity(f, data, x))
-    p = f.algebra.p_dim
+    ad = sl(f.n).ad_matrix_ortho(_spd_gradient_at_identity(f, data, x))
+    p = sl(f.n).p_dim
     a2 = (ad @ ad)[:p, :p]
     return psd_sqrt(0.5 * (a2 + a2.T)).a / math.sqrt(f.lam)
 

@@ -130,9 +130,11 @@ def test_empty_grid_exit_two(capsys, space, grid):
      "--sweep-count", "2"],
     ["isoperimetric", "--radius", "1e-320"]],
     ids=["total-curvature", "isoperimetric"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_underflowing_radius_is_chart_degeneracy(capsys, argv):
     # the Gram matrix underflows to 0 and its relative det is 0/0 = NaN:
-    # the degeneracy gate fails on NaN, before the ascent or the report
+    # the degeneracy gate fails on NaN, before the ascent or the report,
+    # without a numpy warning on the way
     rc = main(["verify", *argv, "--space", "hyperbolic:3,kappa=1",
                "--grid", "4x8"])
     out, err = capsys.readouterr()

@@ -1,17 +1,75 @@
-"""Lie-algebra structure: Killing form, Cartan decomposition, roots."""
+"""sl(n,R): the closed forms of `horocurv.lie_structure` against the
+numeric oracle of `tests/oracles.py`, and the oracle's own structure."""
 
 import numpy as np
 import pytest
 
+from horocurv import lie_structure
 from horocurv.errors import ConfigError, DegeneratePlaneError, InputDomainError
-from horocurv.lie_structure import (MatrixLieAlgebra,
-                                    algebraic_sectional_curvature,
-                                    metric_scale_bound, restricted_roots)
+from oracles import (MatrixLieAlgebra, algebraic_sectional_curvature,
+                     metric_scale_bound, restricted_roots, sl)
+
+# the oracle's own round-off (pinv coordinates, trace-form Killing matrix,
+# Gram-Schmidt), largest at n = 4: 1.1e-15 on a p-basis entry, 2.8e-15 on
+# an ad entry of a basis element, 6e-15 on a Gram entry
+BASIS_TOL = 2e-15
+AD_TOL = 1e-14
 
 
 @pytest.fixture(scope="module")
 def sl3():
-    return MatrixLieAlgebra("sl", 3)
+    return sl(3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_p_basis_is_gram_schmidt_output(n):
+    # the same matrices in the oracle's order and signs
+    b = lie_structure.basis(n)
+    assert b.shape == (n * n - 1, n, n)
+    assert lie_structure.p_dim(n) == sl(n).p_dim
+    p = b[:lie_structure.p_dim(n)]
+    assert np.max(np.abs(p - np.stack(sl(n).p_basis_matrices()))) <= BASIS_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_basis_orthonormal_and_split(n):
+    # beta_theta-orthonormal under the oracle's ad-trace Killing form, the
+    # p block in p (theta = -1), the k block in k (theta = +1)
+    alg, b = sl(n), lie_structure.basis(n)
+    gram = np.array([[alg.beta_theta(x, y) for y in b] for x in b])
+    assert np.max(np.abs(gram - np.eye(len(b)))) <= 1e-14
+    d = lie_structure.p_dim(n)
+    for i, x in enumerate(b):
+        assert np.array_equal(alg.theta(x), -x if i < d else x)
+        assert np.trace(x) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_max_root_norm(n):
+    # [PAPER] type A_{n-1}: n(n-1) roots e_i - e_j, each of multiplicity 1
+    # and |alpha|^2 = 1/n
+    rd = restricted_roots(sl(n))
+    assert len(rd.roots) == n * (n - 1)
+    assert all(mult == 1 for _, mult in rd.roots)
+    assert abs(lie_structure.max_root_norm(n) ** 2 - 1.0 / n) <= 1e-15
+    assert abs(lie_structure.max_root_norm(n) - rd.max_root_norm) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_ad_matches_oracle(n):
+    # on every basis element and on random elements of p and of k; a stack
+    # of elements gives the stack of their matrices
+    alg, b = sl(n), lie_structure.basis(n)
+    c = np.random.default_rng(n).standard_normal((4, len(b)))
+    c[:2, lie_structure.p_dim(n):] = 0.0
+    c[2:, :lie_structure.p_dim(n)] = 0.0
+    us = np.concatenate([b, np.tensordot(c, b, axes=1)])
+    stacked = lie_structure.ad_matrix(us)
+    for u, m in zip(us, stacked):
+        one = lie_structure.ad_matrix(u)
+        assert np.max(np.abs(one - alg.ad_matrix_ortho(u))) <= AD_TOL * (
+            1.0 + np.max(np.abs(one)))
+        assert np.max(np.abs(m - one)) <= 1e-15 * (1.0 + np.max(np.abs(one)))
 
 
 def test_killing_form_matches_trace_formula(sl3):

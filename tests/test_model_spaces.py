@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from horocurv.errors import ConfigError, InputDomainError
-from horocurv.lie_structure import algebraic_sectional_curvature
 from horocurv.model_spaces import SPD_CURVATURE_MARGIN, parse_space
+from oracles import algebraic_sectional_curvature, sl
 
 SPACES = {
     "euclidean:3": "euclidean:3",
@@ -170,9 +170,19 @@ def test_spd_curvature_bound_closed_form(spec):
     x[0, 0], x[1, 1] = 1.0, -1.0
     y = np.zeros((f.n, f.n))
     y[0, 1] = y[1, 0] = 1.0
-    sec = algebraic_sectional_curvature(f.algebra, x, y, f.lam)
+    sec = algebraic_sectional_curvature(sl(f.n), x, y, f.lam)
     kappa = space.curvature_lower_bound / (1.0 + SPD_CURVATURE_MARGIN)
     assert abs(sec + kappa ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("n, lam", [(2, "0.5"), (3, "0.3333333333333333"),
+                                    (4, "0.25"), (5, "0.2")])
+def test_spd_default_lambda_spec_string(n, lam):
+    # [PAPER] the default lambda is max|alpha|^2 = 1/n, written as the float
+    # 1/n; kappa is then exactly 1 before the margin
+    space = parse_space(f"spd:{n}")
+    assert space.spec_string() == f"spd:{n},lambda={lam}"
+    assert space.curvature_lower_bound == 1.0 + SPD_CURVATURE_MARGIN
 
 
 def test_spd_lambda_scaling():
