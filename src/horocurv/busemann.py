@@ -29,7 +29,6 @@ Every closed form is cross-validated in the test suite against
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 
@@ -95,7 +94,7 @@ class BusemannFunction:
                                       self.weights, self.data)))
 
     def hessian(self, x: Point) -> SymMatrix:
-        """Hessian as a matrix in frame_at(x) coordinates (block diagonal),
+        """Hessian as a matrix in the frame coordinates at x (block diagonal),
         (..., dim, dim) over the broadcast direction and point axes."""
         blocks = [np.reshape(c, np.shape(c) + (1, 1)) * f.bus_hess(data, xp)
                   for f, xp, c, data in zip(self.space.factors, x.parts,
@@ -110,8 +109,9 @@ class BusemannFunction:
 
     # -- independent truncation oracle -----------------------------------------
 
-    def truncated_value_at(self, x: Point, t: float) -> float:
-        """d(x, gamma_v(t)) - t, assembled from overflow-safe factor distances."""
+    def truncated_value_at(self, x: Point, t: float):
+        """d(x, gamma_v(t)) - t, assembled from overflow-safe factor
+        distances: a float at one point, an array over a point stack."""
         lin = 0.0      # 2 T sum_f c_f r_f  pieces, see below
         quad = 0.0
         for f, op, xp, c, data in zip(self.space.factors, self.o.parts,
@@ -124,8 +124,8 @@ class BusemannFunction:
                 quad += f.dist(xp, op) ** 2
         # d^2 = t^2 + 2 t lin + quad  =>  d - t = (2 t lin + quad)/(d + t)
         num = 2.0 * t * lin + quad
-        d = math.sqrt(max(t * t + num, 0.0))
-        return num / (d + t)
+        out = num / (np.sqrt(np.maximum(t * t + num, 0.0)) + t)
+        return float(out) if np.ndim(out) == 0 else out
 
     def _ladder_limit(self, estimate_at, tol, t_max, t0, label):
         """Limit of estimate_at(T) as T -> infinity (`richardson_limit`)."""
@@ -155,59 +155,35 @@ class BusemannFunction:
         """
         if what == "value":
             return self.truncated_value(x, tol=tol, t_max=t_max)
-        frame = self.space.frame_at(x)
-        n1 = len(frame)
-
-        def point_along(coeffs):
-            tv = self.space.zero_tangent(x)
-            for ci, e in zip(coeffs, frame):
-                tv = self.space.add(tv, self.space.scale(e, ci))
-            return self.space.exp_map(x, tv)
+        dim = self.space.total_dim
+        e = h * np.eye(dim)
+        i, j = np.triu_indices(dim, 1)
+        if what == "gradient":
+            steps = np.concatenate([e, -e])
+        elif what == "hessian":
+            # 0, +-h e_i, +-h (e_i + e_j), +-h (e_i - e_j) for i < j
+            steps = np.concatenate([np.zeros((1, dim)), e, -e, e[i] + e[j],
+                                    -e[i] - e[j], e[i] - e[j], e[j] - e[i]])
+        else:
+            raise InputDomainError(f"unknown oracle request {what!r}")
+        nodes = self.space.exp_map(x, self.space.coords_to_tangent(x, steps))
 
         if what == "gradient":
-            nodes = []
-            for i in range(n1):
-                step = np.zeros(n1)
-                step[i] = h
-                nodes.append((point_along(step), point_along(-step)))
-
             def grad_at(t):
-                return np.array([
-                    (self.truncated_value_at(p, t) - self.truncated_value_at(m, t))
-                    / (2.0 * h) for p, m in nodes])
+                f = self.truncated_value_at(nodes, t)
+                return (f[:dim] - f[dim:]) / (2.0 * h)
 
             coords = self._ladder_limit(grad_at, TOL_ORACLE_GRAD, t_max, 8.0,
                                         "gradient")
             return self.space.coords_to_tangent(x, coords)
-        if what == "hessian":
-            axis_nodes = []
-            for i in range(n1):
-                step = np.zeros(n1)
-                step[i] = h
-                axis_nodes.append((point_along(step), point_along(-step)))
-            cross_nodes = {}
-            for i in range(n1):
-                for j in range(i + 1, n1):
-                    step = np.zeros(n1)
-                    step[i] = step[j] = h
-                    pp, mm = point_along(step), point_along(-step)
-                    step[j] = -h
-                    pm, mp = point_along(step), point_along(-step)
-                    cross_nodes[i, j] = (pp, mm, pm, mp)
 
-            def hess_at(t):
-                f0 = self.truncated_value_at(x, t)
-                out = np.zeros((n1, n1))
-                for i, (p, m) in enumerate(axis_nodes):
-                    out[i, i] = (self.truncated_value_at(p, t)
-                                 + self.truncated_value_at(m, t) - 2.0 * f0) / (h * h)
-                for (i, j), (pp, mm, pm, mp) in cross_nodes.items():
-                    out[i, j] = out[j, i] = (
-                        self.truncated_value_at(pp, t) + self.truncated_value_at(mm, t)
-                        - self.truncated_value_at(pm, t) - self.truncated_value_at(mp, t)
-                    ) / (4.0 * h * h)
-                return out
+        def hess_at(t):
+            f0, fp, fm, pp, mm, pm, mp = np.split(
+                self.truncated_value_at(nodes, t),
+                np.cumsum([1, dim, dim] + [len(i)] * 3))
+            out = np.diag((fp + fm - 2.0 * f0) / (h * h))
+            out[i, j] = out[j, i] = (pp + mm - pm - mp) / (4.0 * h * h)
+            return out
 
-            return SymMatrix(self._ladder_limit(hess_at, TOL_ORACLE_HESS, t_max,
-                                                8.0, "hessian"))
-        raise InputDomainError(f"unknown oracle request {what!r}")
+        return SymMatrix(self._ladder_limit(hess_at, TOL_ORACLE_HESS, t_max,
+                                            8.0, "hessian"))

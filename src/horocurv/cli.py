@@ -51,7 +51,7 @@ class SuiteConfig:
     seed: int = 42
     samples: int = 0            # 0 = per-check default
     sweep_count: int = vh.SWEEP_COUNT
-    radius: float | None = None  # None = 1, or a sphere surface's radius
+    radius: float | None = None  # None = per-check default
     dim: int = 0                # 0 = per-audit default
     min_nodes: int = 1000
     output: str = ""
@@ -116,7 +116,8 @@ def run_suite(cfg: SuiteConfig):
         if name not in CHECK_NAMES:
             raise HorocurvError(f"unknown check {name!r}")
     reports = []
-    radius = 1.0 if cfg.radius is None else cfg.radius
+    # --radius where it is given; otherwise each check keeps its default
+    given = {} if cfg.radius is None else {"radius": cfg.radius}
     space = o = M = None
     if any(c in SURFACE_CHECKS for c in cfg.checks):
         space, o, M = _build_surface(cfg)
@@ -128,13 +129,13 @@ def run_suite(cfg: SuiteConfig):
             raise HorocurvError(f"check {name!r} needs --space/--surface")
         if name == "hessian-oracle":
             rep = vh.hessian_oracle_check(space, o, cfg.samples or 50,
-                                          cfg.seed)
+                                          cfg.seed, **given)
         elif name == "hessian-bounds":
             rep = vh.hessian_bounds_check(space, o, cfg.samples or 1000,
-                                          cfg.seed)
+                                          cfg.seed, **given)
         elif name == "lipschitz":
-            rep = vh.lipschitz_check(space, o, cfg.samples or 500, radius,
-                                     cfg.seed)
+            rep = vh.lipschitz_check(space, o, cfg.samples or 500,
+                                     seed=cfg.seed, **given)
         elif name == "gauss-consistency":
             rep = vh.gauss_consistency_check(M, o, cfg.min_nodes, cfg.seed)
         elif name == "contact":
@@ -147,7 +148,7 @@ def run_suite(cfg: SuiteConfig):
             rep = vh.willmore_check(M, o)
         elif name == "isoperimetric":
             space = parse_space(cfg.space)
-            r = radius
+            r = given.get("radius", 1.0)
             if cfg.surface:
                 prof = parse_surface(cfg.surface)
                 if prof.amp != 0.0:

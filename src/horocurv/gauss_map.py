@@ -14,6 +14,9 @@ shape operator at x (`Hypersurface.fundamental_forms`), for a stack of
 contacts in one translation; it evaluates no chart of its own, has no
 one-sided fallback, and marks each contact whose stencil fails the gate.
 
+`random_samples` draws the samples of the Hessian-bound and Lipschitz
+checks of `verify_harness` as stacks, in a per-sample loop's rng order.
+
 Sign convention: grad B_v(o) = -v, so G^o_o(u) = -u; this matches the
 Euclidean case (v = -u everywhere) and the on-ray identity.
 """
@@ -21,11 +24,10 @@ Euclidean case (v = -u everywhere) and the on-ray identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .busemann import BusemannFunction
+from .busemann import _WEIGHT_EPS, BusemannFunction
 from .errors import InputDomainError, TranslationFailure
 from .model_spaces import Point, SymmetricSpace, Tangent
 from .numeric_kernel import richardson_limit
@@ -33,8 +35,6 @@ from .numeric_kernel import richardson_limit
 TOL_GAUSS = 1e-5
 TOL_RAY = 1e-8
 RAY_T_MAX = 2 ** 10
-LIPSCHITZ_SLACK = 1e-4
-_WEIGHT_EPS = 1e-12
 
 
 def translate_direction(space: SymmetricSpace, o: Point, x: Point,
@@ -92,8 +92,8 @@ def translate_direction_ray(space: SymmetricSpace, o: Point, x: Point,
 
 def gauss_differential(space: SymmetricSpace, o: Point, stencil):
     """(W, ok): dS_M on the orthonormal legs of T_xM, (..., n+1, n) in
-    frame_at(o) coordinates, and whether each contact's stencil passed the
-    TOL_GAUSS residual gate (W of a contact that did not is meaningless).
+    the frame coordinates at o, and whether each contact's stencil passed
+    the TOL_GAUSS residual gate (W of a contact that did not is meaningless).
     `stencil` is the shape-operator stencil of
     `Hypersurface.fundamental_forms`, leading axes (..., n, 2), whose leg i
     steps along onb_coords[i]; column i is the central difference of S_M
@@ -104,21 +104,6 @@ def gauss_differential(space: SymmetricSpace, o: Point, stencil):
     s = space.tangent_to_coords(v)
     w = (s[..., 0, :] - s[..., 1, :]) / (2.0 * stencil["h"])
     return np.swapaxes(w, -1, -2), np.all(resid <= TOL_GAUSS, axis=(-2, -1))
-
-
-@dataclass
-class LipschitzReport:
-    """Sampled audit of the fiber-translation Lipschitz bounds."""
-
-    samples: int
-    skipped: int
-    worst_upper_ratio: float      # max |v-v'| / (e^{(n+1) kappa d} |u-u'|)
-    worst_lower_ratio: float      # min |v-v'| / (e^{-(n+1) kappa d} |u-u'|)
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 def random_samples(space: SymmetricSpace, o: Point, rng, count: int,
@@ -132,45 +117,3 @@ def random_samples(space: SymmetricSpace, o: Point, rng, count: int,
         c[i], r[i] = rng.standard_normal(dim), radius * rng.random() ** (1.0 / dim)
         c1[i], c2[i] = rng.standard_normal(dim), rng.standard_normal(dim)
     return space.exp_map(o, space.scale(space.unit_tangent(o, c), r)), c1, c2
-
-
-def lipschitz_audit(space: SymmetricSpace, o: Point, sample_size: int = 100,
-                    radius: float = 1.0, seed: int = 42) -> LipschitzReport:
-    """Sample the two-sided Lipschitz bound for G^x_o.
-
-    For x with d(o, x) <= radius and unit u, u' at x the audited bounds are
-    e^{-(n+1) kappa d} |u-u'| <= |v-v'| <= e^{(n+1) kappa d} |u-u'|
-    (with slack 1e-4), where n+1 is the ambient dimension.  All samples are
-    translated in two stacked calls; one that fails the TOL_GAUSS residual
-    gate is an error, not a sample.
-    """
-    if radius <= 0.0:
-        raise InputDomainError("audit radius must be positive")
-    if sample_size < 1:
-        raise InputDomainError(f"an audit of {sample_size} samples proves "
-                               "nothing")
-    rng = np.random.default_rng(seed)
-    x, c1, c2 = random_samples(space, o, rng, sample_size, radius)
-    u, u2 = space.unit_tangent(x, c1), space.unit_tangent(x, c2)
-    du = space.norm(space.add(u, space.scale(u2, -1.0)))
-    used = ~(du < 1e-12)
-    (v, resid), (v2, resid2) = (translate_direction(space, o, x, u),
-                                translate_direction(space, o, x, u2))
-    if np.any(used & ~((resid <= TOL_GAUSS) & (resid2 <= TOL_GAUSS))):
-        raise TranslationFailure("a sampled direction fails the translation "
-                                 f"residual check (> {TOL_GAUSS:.0e})")
-    dv = space.norm(space.add(v, space.scale(v2, -1.0)))
-    d = space.distance_many(o.parts, x)
-    n_plus_1, kappa = space.total_dim, space.curvature_lower_bound
-    lip = np.vectorize(math.exp, otypes=[float])(n_plus_1 * kappa * d)
-    upper, lower = dv / (lip * du), dv / (du / lip)
-    bad = used & ((upper > 1.0 + LIPSCHITZ_SLACK) | (lower < 1.0 - LIPSCHITZ_SLACK))
-    keys = ("sample", "distance", "du", "dv", "upper_ratio", "lower_ratio")
-    failures = [dict(zip(keys, row)) for row in zip(
-        np.flatnonzero(bad).tolist(),
-        *(a[bad].tolist() for a in (d, du, dv, upper, lower)))]
-    return LipschitzReport(
-        samples=sample_size, skipped=int(np.sum(~used)),
-        worst_upper_ratio=float(np.max(upper[used], initial=0.0)),
-        worst_lower_ratio=float(np.min(lower[used], initial=math.inf)),
-        failures=failures)

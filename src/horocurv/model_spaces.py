@@ -12,12 +12,13 @@ A `SymmetricSpace` is an ordered product of factors:
 Points and tangents are stored per factor.  All closed forms (exp, log,
 transport, exp differential) are exact up to rounding.  The factor
 `project_point`, `inner`, `exp`, `dexp`, `transport`, `dist`, `frame`,
-`to_coords`, `from_coords`, `translate`, `bus_value`, `bus_grad` and
-`bus_hess` accept stacks of points, tangents or coordinates along leading
-axes, ``(..., d+1)`` hyperboloid and ``(..., n, n)`` SPD arrays,
-broadcasting them against each other, and so do the space's `inner`,
-`norm` and `scale`; the SPD `dexp` is the Daleckii-Krein
-divided-difference formula on one batched eigendecomposition.  The factor
+`to_coords`, `from_coords`, `translate`, `bus_value`, `bus_grad`,
+`bus_hess` and `bus_trunc_value` accept stacks of points, tangents or
+coordinates along leading axes, ``(..., d+1)`` hyperboloid and
+``(..., n, n)`` SPD arrays, broadcasting them against each other, and so
+do the space's `inner`, `norm` and `scale`; the SPD `dexp` is the
+Daleckii-Krein divided-difference formula on one batched
+eigendecomposition.  The factor
 `exp` does not project (far out on a ray the constraint check loses all
 precision while the coordinates stay accurate); `exp_map` repairs the
 constraint drift by projecting once, and the hyperboloid projection lifts
@@ -30,7 +31,8 @@ its first `bus_shared` entries depend on o alone, the others carry the
 direction axes of v.  `bus_value` and `bus_grad` broadcast those axes
 against the point axes (direction axes (D, 1) at N points give (D, N),
 with the per-point work done once); `bus_hess` is the Hessian matrix in
-frame coordinates.
+frame coordinates.  `bus_trunc_value`, the truncated distance behind the
+oracle of `busemann`, takes the data of one direction at a point stack.
 """
 
 from __future__ import annotations
@@ -176,8 +178,8 @@ class EuclideanFactor:
     def bus_trunc_value(self, data, x, t):
         o, v = data
         w = x - o
-        num = float(np.dot(w, w)) - 2.0 * t * float(np.dot(w, v))
-        return num / (np.linalg.norm(w - t * v) + t)
+        num = np.vecdot(w, w) - 2.0 * t * np.vecdot(w, v)
+        return num / (np.linalg.norm(w - t * v, axis=-1) + t)
 
     def translate(self, o, x, u):
         return -np.asarray(u, dtype=float)
@@ -349,11 +351,11 @@ class HyperbolicFactor:
         z_arg = k * t
         if z_arg < 30.0:
             z = math.cosh(z_arg) * a + math.sinh(z_arg) * b
-            return math.acosh(max(z, 1.0)) / k - t
+            return np.arccosh(np.maximum(z, 1.0)) / k - t
         # z = e^{kt}(a+b)/2 + e^{-kt}(a-b)/2 ; acosh(z) = ln z + ln(1+sqrt(1-z^-2))
-        ln_z = z_arg + math.log(0.5 * (a + b) + 0.5 * (a - b) * math.exp(-2.0 * z_arg))
-        inv_z2 = math.exp(-2.0 * ln_z)
-        return (ln_z - z_arg + math.log(1.0 + math.sqrt(max(1.0 - inv_z2, 0.0)))) / k
+        ln_z = z_arg + np.log(0.5 * (a + b) + 0.5 * (a - b) * math.exp(-2.0 * z_arg))
+        inv_z2 = np.exp(-2.0 * ln_z)
+        return (ln_z - z_arg + np.log(1.0 + np.sqrt(np.maximum(1.0 - inv_z2, 0.0)))) / k
 
     def translate(self, o, x, u):
         k = self.kappa
@@ -576,27 +578,25 @@ class SPDFactor:
 
         For n <= 3 the three log-eigenvalues of x0^{-1/2} e^{tV} x0^{-1/2}
         come from lambda_max of the matrix and of its inverse plus the
-        unit-determinant constraint; larger n falls back to mpmath.
+        unit-determinant constraint; larger n falls back to mpmath, one
+        point at a time.
         """
         osq, osi, delta, k, _ = data
-        x0 = osi @ x @ osi
-        x0s, x0si = spd_inv_sqrt(0.5 * (x0 + x0.T))
+        x0s, x0si = spd_inv_sqrt(osi @ x @ osi)
         scale = math.sqrt(self.metric_coef())
         if self.n <= 3:
             half = np.exp(0.5 * t * delta)
-            b = x0si @ k  # m = b e^{t D} b^T,  m^-1 = binv^T e^{-t D} binv
-            binv = k.T @ x0s
-            m = (b * half) @ (b * half).T
-            mi = (binv.T / half) @ (binv.T / half).T
-            l1 = math.log(np.linalg.eigvalsh(m)[-1])
-            ln = -math.log(np.linalg.eigvalsh(mi)[-1])
-            if self.n == 2:
-                ls = [l1, -l1]
-            else:
-                ls = [l1, -l1 - ln, ln]
-            d = scale * math.sqrt(sum(v * v for v in ls))
+            # m = b b^T and m^-1 = bi bi^T, b = x0^-1/2 k e^{tD/2}
+            b = (x0si @ k) * half
+            bi = np.swapaxes(k.T @ x0s, -1, -2) / half
+            l1 = np.log(np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2))[..., -1])
+            ln = -np.log(np.linalg.eigvalsh(bi @ np.swapaxes(bi, -1, -2))[..., -1])
+            ls = [l1, -l1] if self.n == 2 else [l1, -l1 - ln, ln]
+            d = scale * np.sqrt(sum(v * v for v in ls))
         else:
-            d = _mpmath_spd_distance(x0si, k, delta, t, scale)
+            rows = x0si.reshape((-1, self.n, self.n))
+            d = np.reshape([_mpmath_spd_distance(r, k, delta, t, scale)
+                            for r in rows], x0si.shape[:-2])
         return d - t
 
     def translate(self, o, x, u):
@@ -739,9 +739,6 @@ class SymmetricSpace:
     def add(self, u: Tangent, v: Tangent) -> Tangent:
         return Tangent(self, u.base, tuple(a + b for a, b in zip(u.parts, v.parts)))
 
-    def zero_tangent(self, x: Point) -> Tangent:
-        return Tangent(self, x, tuple(np.zeros_like(p) for p in x.parts))
-
     # -- geodesic calculus ----------------------------------------------------
 
     def exp_map(self, x: Point, v: Tangent) -> Point:
@@ -788,10 +785,6 @@ class SymmetricSpace:
                      for f, p in zip(self.factors, parts))
 
     # -- frames and coordinates ----------------------------------------------
-
-    def frame_at(self, x: Point):
-        """Deterministic orthonormal frame of T_xN, factor blocks in order."""
-        return [self.coords_to_tangent(x, e) for e in np.eye(self.total_dim)]
 
     def tangent_to_coords(self, v: Tangent) -> np.ndarray:
         if len(self.factors) == 1:

@@ -1,8 +1,10 @@
 """Dense symmetric linear algebra shared by the geometric modules.
 
-Everything here operates on small (dim <= ~15) real matrices.  Reductions
-run in fixed index order and the eigensolver is LAPACK's deterministic
-symmetric driver, so repeated calls on identical inputs are bit-stable.
+Everything here operates on small (dim <= ~15) real matrices; `op_norm`,
+`psd_sqrt`, `sym_exp` and `spd_inv_sqrt` take one matrix or a (..., n, n)
+stack, one LAPACK call per matrix either way.  Reductions run in fixed
+index order and the eigensolver is LAPACK's deterministic symmetric
+driver, so repeated calls on identical inputs are bit-stable.
 `richardson_limit` is the one Richardson extrapolation ladder used by the
 truncated Busemann oracle and the asymptotic-ray translation.
 """
@@ -56,20 +58,19 @@ def op_norm(m):
 
 
 def psd_sqrt(m) -> SymMatrix:
-    """Unique PSD square root of a symmetric PSD matrix.
+    """Unique PSD square root of a symmetric PSD matrix, or of each matrix
+    of a (..., n, n) stack.
 
     Eigenvalues within -PSD_CLAMP_REL*(1+||m||) of zero are clamped to 0;
     anything more negative raises NotPSDError.
     """
-    a = _as_sym_array(m)
-    w, q = np.linalg.eigh(a)
-    scale = 1.0 + (float(np.max(np.abs(w))) if w.size else 0.0)
-    eps = PSD_CLAMP_REL * scale
-    if w.size and w[0] < -eps:
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below PSD tolerance {-eps:.3e}")
-    w = np.clip(w, 0.0, None)
-    r = (q * np.sqrt(w)) @ q.T
-    return SymMatrix(r)
+    w, q = np.linalg.eigh(_as_sym_array(m))
+    eps = PSD_CLAMP_REL * (1.0 + np.max(np.abs(w), axis=-1, initial=0.0))
+    if np.any(w[..., :1] < -eps[..., None]):
+        raise NotPSDError(f"eigenvalue {np.min(w):.3e} below the PSD "
+                          f"tolerance -{PSD_CLAMP_REL:.0e}(1 + ||m||)")
+    sq = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return SymMatrix((q * sq) @ np.swapaxes(q, -1, -2))
 
 
 def mat_log_spd(m) -> np.ndarray:

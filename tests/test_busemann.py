@@ -117,6 +117,24 @@ def test_hessian_against_oracle(spec):
     assert np.max(np.abs(closed - oracle)) < 1e-3
 
 
+@pytest.mark.parametrize("spec", [
+    "euclidean:3", "hyperbolic:3,kappa=1.5", "spd:2", "spd:3",
+    "euclidean:1xhyperbolic:2,kappa=0.8xspd:2", "spd:4"])
+def test_truncated_value_stack_matches_rows(spec):
+    # the oracle evaluates its whole stencil as one point stack; each row
+    # must give the value of that point alone (spd:4 takes the mpmath path)
+    space, o, v, _ = _random_setup(spec, 12)
+    rng = np.random.default_rng(13)
+    x = space.exp_map(o, space.scale(space.unit_tangent(
+        o, rng.standard_normal((6, space.total_dim))), rng.random(6) * 1.5))
+    bus = BusemannFunction(space, o, v)
+    for t in (8.0, 64.0, 512.0):
+        stacked = bus.truncated_value_at(x, t)
+        rows = [bus.truncated_value_at(x[k], t) for k in range(6)]
+        assert stacked.shape == (6,)
+        assert np.max(np.abs(stacked - rows)) <= 1e-12 * (1.0 + t)
+
+
 def test_hessian_psd_and_kernel():
     # gradient direction lies in the Hessian kernel; Hessian is PSD
     for spec in ("hyperbolic:3,kappa=1.5", "spd:3"):

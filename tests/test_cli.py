@@ -13,6 +13,7 @@ import pytest
 from horocurv.cli import (SuiteConfig, main, parse_config_text,
                           render_reports, run_suite)
 from horocurv.errors import HorocurvError
+from horocurv.model_spaces import parse_space
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -290,9 +291,12 @@ def _child_env(root):
       "hyperbolic:3,kappa=1", "--grid", "6x12", "--sweep-count", "2"],
      ["total-curvature", "willmore"]),
     (["verify", "isoperimetric", "--space", "hyperbolic:3,kappa=1",
-      "--radius", "0.5", "--grid", "4x8"], ["isoperimetric"])],
+      "--radius", "0.5", "--grid", "4x8"], ["isoperimetric"]),
+    (["verify", "lipschitz", "hessian-oracle", "hessian-bounds", "--space",
+      "spd:3", "--samples", "5"], [])],
     ids=["sweep-jacobian", "spd-sweep-jacobian", "det-audit",
-         "surface-checks", "total-curvature-willmore", "isoperimetric"])
+         "surface-checks", "total-curvature-willmore", "isoperimetric",
+         "sampled-checks"])
 def test_traced_cli_smoke(argv, checks):
     # perfbench/tracer.py wraps library names and hooks some of them; a
     # renamed or retyped hooked name shows here as a failing traced run, and
@@ -507,6 +511,21 @@ def test_isoperimetric_report_emits(capsys):
     assert rc == 0
     jsonschema.validate(reports, _schema())
     assert reports[0]["pass"] is True
+
+
+def test_sampled_hessian_checks_read_radius(capsys):
+    # --radius reaches hessian-oracle and hessian-bounds, whose samples
+    # then lie in that ball; without it they keep their default of 2
+    from horocurv import verify_harness as vh
+    space = parse_space("spd:3")
+    for argv, radius in ((["--radius", "0.5"], 0.5), ([], 2.0)):
+        assert main(["verify", "hessian-oracle", "hessian-bounds", "--space",
+                     "spd:3", "--samples", "3"] + argv) == 0
+        oracle, bounds = json.loads(capsys.readouterr().out)
+        assert oracle["lhs"] == vh.hessian_oracle_check(
+            space, space.origin(), 3, radius=radius).lhs
+        assert bounds["lhs"] == vh.hessian_bounds_check(
+            space, space.origin(), 3, radius=radius).lhs
 
 
 def test_isoperimetric_surface_must_be_sphere(tmp_path, capsys):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from horocurv import verify_harness as vh
 from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
-from horocurv.gauss_map import (gauss_differential, lipschitz_audit,
-                                translate_direction, translate_direction_ray)
+from horocurv.gauss_map import (gauss_differential, translate_direction,
+                                translate_direction_ray)
 from horocurv.hypersurface import geodesic_sphere
 from horocurv.model_spaces import parse_space
 
@@ -87,10 +88,10 @@ def test_non_unit_direction_rejected():
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_lipschitz_audit_passes(spec):
-    rep = lipschitz_audit(parse_space(spec), parse_space(spec).origin(),
-                          sample_size=100, radius=1.0, seed=42)
-    assert rep.passed, rep.failures[:3]
-    assert rep.worst_upper_ratio <= 1.0 + 1e-4
+    rep = vh.lipschitz_check(parse_space(spec), parse_space(spec).origin(),
+                             samples=100, radius=1.0, seed=42)
+    assert rep.passed, rep.details
+    assert rep.lhs <= 1.0 + 1e-4
 
 
 @pytest.mark.parametrize("size", [0, -1])
@@ -98,15 +99,22 @@ def test_lipschitz_audit_of_no_sample_is_input_error(size):
     # an audit of no sample proves nothing: rejected, not passed
     space = parse_space("spd:3")
     with pytest.raises(InputDomainError):
-        lipschitz_audit(space, space.origin(), sample_size=size, seed=1)
+        vh.lipschitz_check(space, space.origin(), samples=size, seed=1)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_lipschitz_check_of_no_ball_is_input_error(radius):
+    space = parse_space("spd:3")
+    with pytest.raises(InputDomainError):
+        vh.lipschitz_check(space, space.origin(), samples=10, radius=radius)
 
 
 def test_lipschitz_euclidean_ratio_exactly_one():
     # [PAPER] flat case: translation is an isometry of directions
     space = parse_space("euclidean:3")
-    rep = lipschitz_audit(space, space.origin(), sample_size=100, seed=1)
-    assert abs(rep.worst_upper_ratio - 1.0) < 1e-14
-    assert abs(rep.worst_lower_ratio - 1.0) < 1e-14
+    rep = vh.lipschitz_check(space, space.origin(), samples=100, seed=1)
+    assert abs(rep.lhs - 1.0) < 1e-14
+    assert abs(rep.details["worst_lower_ratio"] - 1.0) < 1e-14
 
 
 def test_gauss_map_on_sphere_nodes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from horocurv.errors import ConfigError, InputDomainError
-from horocurv.model_spaces import SPD_CURVATURE_MARGIN, parse_space
+from horocurv.model_spaces import SPD_CURVATURE_MARGIN, Tangent, parse_space
 from oracles import algebraic_sectional_curvature, sl
 
 SPACES = {
@@ -95,12 +95,11 @@ def test_distance_many_matches_scalar(space):
 def test_frame_orthonormal(space):
     rng = np.random.default_rng(4)
     x = space.random_point(space.origin(), rng, 1.0)
-    frame = space.frame_at(x)
-    assert len(frame) == space.total_dim
-    for i, a in enumerate(frame):
-        for j, b in enumerate(frame):
-            val = space.inner(a, b)
-            assert abs(val - (1.0 if i == j else 0.0)) < 1e-9
+    dim = space.total_dim
+    frame = space.coords_to_tangent(x, np.eye(dim))
+    rows = Tangent(space, x, space.insert_axes(frame.parts))
+    gram = space.inner(rows, frame)          # (dim, dim), one entry a pair
+    assert np.max(np.abs(gram - np.eye(dim))) < 1e-9
 
 
 def test_parallel_transport_isometry(space):

@@ -26,6 +26,21 @@ def test_psd_sqrt_clamps_noise_but_rejects_negative():
         psd_sqrt(np.diag([1.0, -1e-3]))
 
 
+def test_psd_sqrt_stack_matches_single_matrices():
+    # each matrix of a stack gets its own clamp and its single-call root
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((5, 4, 4))
+    a = g @ np.swapaxes(g, -1, -2)
+    a[2] = np.diag([1.0, 2.0, 3.0, -1e-12])
+    r = psd_sqrt(a).a
+    assert r.shape == (5, 4, 4)
+    for k in range(5):
+        assert np.array_equal(r[k], psd_sqrt(a[k]).a)
+    a[3] = np.diag([1.0, 2.0, 3.0, -1e-3])
+    with pytest.raises(NotPSDError):
+        psd_sqrt(a)
+
+
 def test_op_norm_matches_eigs():
     a = np.diag([-4.0, 3.0])
     assert op_norm(a) == 4.0

@@ -369,6 +369,8 @@ def test_det_comparison_audit_cases():
     rep = vh.det_comparison_audit(6, 300, seed=42)
     assert rep.passed
     assert rep.lhs == 0.0
+    # the stacked audit draws its samples in the order of a per-sample loop
+    assert float(rep.margin) == 0.03766743363752126
 
 
 def test_sqrt_perturbation_audit_cases():
@@ -381,6 +383,7 @@ def test_sqrt_perturbation_audit_cases():
     assert lhs <= math.sqrt(5) * op_norm(2 * a) + 1e-12
     rep = vh.sqrt_perturbation_audit(8, 300, seed=42)
     assert rep.passed
+    assert rep.margin == 0.07542975396361926      # the per-sample loop's value
 
 
 def test_hessian_oracle_check_small(h3):
