@@ -10,10 +10,10 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 bad
 configuration (unparseable spec or config value, a flag the subcommand
 does not read, unknown check, config key or report format, negative
-seed, sample count, dimension or node count, empty sweep, non-sphere
-isoperimetric surface or one whose radius differs from --radius,
-unwritable output).  Reports are byte-stable across reruns except the
-runtime_ms field.
+seed, sample count, dimension or node count, a sampled check's radius
+that is not positive, empty sweep, non-sphere isoperimetric surface or
+one whose radius differs from --radius, unwritable output).  Reports are
+byte-stable across reruns except the runtime_ms field.
 """
 
 from __future__ import annotations
@@ -57,18 +57,11 @@ class SuiteConfig:
     output: str = ""
     format: str = "json"
 
-    def to_text(self) -> str:
-        """Key-value serialization; parse_config_text round-trips it."""
-        lines = [f"checks = {' '.join(self.checks)}"]
-        for f in fields(self):
-            if f.name != "checks" and getattr(self, f.name) is not None:
-                lines.append(f"{f.name} = {getattr(self, f.name)}")
-        return "\n".join(lines) + "\n"
-
 
 def parse_config_text(text: str, defaults: SuiteConfig | None = None
                       ) -> SuiteConfig:
-    """Parse the `key = value` config file format (see SuiteConfig.to_text).
+    """Parse the `key = value` config file format: one line per
+    SuiteConfig field, `checks` a space-separated list, `#` comments.
 
     Keys the file leaves out keep their values in `defaults`.
     """
@@ -116,8 +109,12 @@ def run_suite(cfg: SuiteConfig):
         if name not in CHECK_NAMES:
             raise HorocurvError(f"unknown check {name!r}")
     reports = []
-    # --radius where it is given; otherwise each check keeps its default
-    given = {} if cfg.radius is None else {"radius": cfg.radius}
+    # only the options given (a count of 0 is none); each check keeps its
+    # own defaults for the others
+    sampled = {} if cfg.radius is None else {"radius": cfg.radius}
+    audited = {"dim": cfg.dim} if cfg.dim else {}
+    if cfg.samples:
+        sampled["samples"] = audited["samples"] = cfg.samples
     space = o = M = None
     if any(c in SURFACE_CHECKS for c in cfg.checks):
         space, o, M = _build_surface(cfg)
@@ -128,14 +125,11 @@ def run_suite(cfg: SuiteConfig):
         if name in SURFACE_CHECKS and M is None:
             raise HorocurvError(f"check {name!r} needs --space/--surface")
         if name == "hessian-oracle":
-            rep = vh.hessian_oracle_check(space, o, cfg.samples or 50,
-                                          cfg.seed, **given)
+            rep = vh.hessian_oracle_check(space, o, seed=cfg.seed, **sampled)
         elif name == "hessian-bounds":
-            rep = vh.hessian_bounds_check(space, o, cfg.samples or 1000,
-                                          cfg.seed, **given)
+            rep = vh.hessian_bounds_check(space, o, seed=cfg.seed, **sampled)
         elif name == "lipschitz":
-            rep = vh.lipschitz_check(space, o, cfg.samples or 500,
-                                     seed=cfg.seed, **given)
+            rep = vh.lipschitz_check(space, o, seed=cfg.seed, **sampled)
         elif name == "gauss-consistency":
             rep = vh.gauss_consistency_check(M, o, cfg.min_nodes, cfg.seed)
         elif name == "contact":
@@ -148,7 +142,7 @@ def run_suite(cfg: SuiteConfig):
             rep = vh.willmore_check(M, o)
         elif name == "isoperimetric":
             space = parse_space(cfg.space)
-            r = given.get("radius", 1.0)
+            r = 1.0 if cfg.radius is None else cfg.radius
             if cfg.surface:
                 prof = parse_surface(cfg.surface)
                 if prof.amp != 0.0:
@@ -163,11 +157,9 @@ def run_suite(cfg: SuiteConfig):
             rep = vh.isoperimetric_check(space, space.origin(), r,
                                          grid_counts=counts)
         elif name == "det-audit":
-            rep = vh.det_comparison_audit(cfg.dim or 6, cfg.samples or 1000,
-                                          cfg.seed)
+            rep = vh.det_comparison_audit(seed=cfg.seed, **audited)
         elif name == "sqrt-audit":
-            rep = vh.sqrt_perturbation_audit(cfg.dim or 8, cfg.samples or 1000,
-                                             cfg.seed)
+            rep = vh.sqrt_perturbation_audit(seed=cfg.seed, **audited)
         reports.append(rep)
     return reports
 

@@ -5,8 +5,7 @@ at o whose Busemann gradient at x is u (equivalently, v is the initial
 direction at o of the ray asymptotic to exp_x(t * (-u))).  The closed
 form of each factor runs on one point or on whole stacks, and every row
 comes with its definitional residual |grad B_v(x) - u| for callers to gate
-at TOL_GAUSS; `translate_direction_ray` is the independent asymptotic-ray
-construction used for cross-validation.
+at TOL_GAUSS.
 
 `gauss_differential` is the differential of the Gauss map
 S_M(x) = G^x_o(nu(x)) from central differences over the stencil of the
@@ -23,18 +22,13 @@ Euclidean case (v = -u everywhere) and the on-ray identity.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .busemann import _WEIGHT_EPS, BusemannFunction
-from .errors import InputDomainError, TranslationFailure
+from .errors import InputDomainError
 from .model_spaces import Point, SymmetricSpace, Tangent
-from .numeric_kernel import richardson_limit
 
 TOL_GAUSS = 1e-5
-TOL_RAY = 1e-8
-RAY_T_MAX = 2 ** 10
 
 
 def translate_direction(space: SymmetricSpace, o: Point, x: Point,
@@ -57,37 +51,6 @@ def translate_direction(space: SymmetricSpace, o: Point, x: Point,
     v = space.scale(v, 1.0 / space.norm(v))
     grad = BusemannFunction(space, o, v).gradient(x)
     return v, space.norm(space.add(grad, space.scale(u, -1.0)))
-
-
-def translate_direction_ray(space: SymmetricSpace, o: Point, x: Point,
-                            u: Tangent, tol: float = TOL_RAY,
-                            t_max: float = RAY_T_MAX) -> Tangent:
-    """Asymptotic-ray oracle for G^x_o(u).
-
-    Follows exp_x(t * (-u)) with t doubling, taking the unit initial
-    direction at o of the connecting geodesic; the 1/t tail (flat
-    directions) is removed by `richardson_limit`.  t is capped so no
-    factor coordinate overflows.
-    """
-    cap = t_max
-    for f, xp, up in zip(space.factors, x.parts, u.parts):
-        c = math.sqrt(max(f.inner(xp, up, up), 0.0))
-        if c > _WEIGHT_EPS:
-            cap = min(cap, f.ray_time_cap(xp, up / c) / c)
-
-    def v_at(t):
-        parts = tuple(f.ray_log(op, xp, up, t) for f, op, xp, up
-                      in zip(space.factors, o.parts, x.parts, u.parts))
-        w = Tangent(space, o, parts)
-        return space.tangent_to_coords(w) / space.norm(w)
-
-    res = richardson_limit(v_at, tol, cap, 8.0)
-    if res.converged:
-        v = space.coords_to_tangent(o, res.limit)
-        return space.scale(v, 1.0 / space.norm(v))
-    raise TranslationFailure(
-        "asymptotic-ray translation did not converge",
-        last_iterates=(res.limit, res.last_estimate))
 
 
 def gauss_differential(space: SymmetricSpace, o: Point, stencil):

@@ -9,16 +9,19 @@ A `SymmetricSpace` is an ordered product of factors:
   matrices with metric g = lam * beta, beta the Killing form of sl(n,R)
   (beta(X,Y) = 2n tr(XY) on tangents).
 
-Points and tangents are stored per factor.  All closed forms (exp, log,
-transport, exp differential) are exact up to rounding.  The factor
-`project_point`, `inner`, `exp`, `dexp`, `transport`, `dist`, `frame`,
+Points and tangents are stored per factor.  All closed forms (exp,
+distance, transport, exp differential) are exact up to rounding.  The
+factor `project_point`, `inner`, `exp`, `dexp`, `transport`, `dist`,
 `to_coords`, `from_coords`, `translate`, `bus_value`, `bus_grad`,
 `bus_hess` and `bus_trunc_value` accept stacks of points, tangents or
 coordinates along leading axes, ``(..., d+1)`` hyperboloid and
 ``(..., n, n)`` SPD arrays, broadcasting them against each other, and so
 do the space's `inner`, `norm` and `scale`; the SPD `dexp` is the
 Daleckii-Krein divided-difference formula on one batched
-eigendecomposition.  The factor
+eigendecomposition.  Frame coordinates are taken in the orthonormal frame
+transported from the origin, in closed form and without building the
+frame: the boost of the standard basis on the hyperboloid, x^1/2 F_a x^1/2
+from the identity frame F_a on SPD.  The factor
 `exp` does not project (far out on a ray the constraint check loses all
 precision while the coordinates stay accurate); `exp_map` repairs the
 constraint drift by projecting once, and the hyperboloid projection lifts
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lie_structure
-from .errors import ConfigError, DegeneratePlaneError, InputDomainError
+from .errors import ConfigError, InputDomainError
 from .numeric_kernel import _sym_stack, spd_inv_sqrt, sym_exp
 
 POINT_TOL = 1e-10
@@ -127,9 +130,6 @@ class EuclideanFactor:
     def exp(self, x, v):
         return x + v
 
-    def log(self, x, y):
-        return y - x
-
     def dist(self, xs, y):
         # norm(axis=-1) bit for bit below 8 coordinates (numpy's pairwise
         # sum is sequential there), without its slow short-axis reduce
@@ -138,9 +138,6 @@ class EuclideanFactor:
 
     def transport(self, x, y, v):
         return np.zeros(np.broadcast(x, y, v).shape) + v
-
-    def frame(self, x):
-        return np.zeros(np.shape(x)[:-1] + (self.dim, self.dim)) + np.eye(self.dim)
 
     def to_coords(self, x, v):
         return np.asarray(v, dtype=float)
@@ -152,9 +149,6 @@ class EuclideanFactor:
         return np.zeros(np.broadcast(x, v, w).shape) + w
 
     def curvature_lower_bound(self):
-        return 0.0
-
-    def sectional_numerator(self, x, u, v):
         return 0.0
 
     def check_tangent(self, x, v, tol=POINT_TOL):
@@ -183,12 +177,6 @@ class EuclideanFactor:
 
     def translate(self, o, x, u):
         return -np.asarray(u, dtype=float)
-
-    def ray_time_cap(self, x, v):
-        return math.inf
-
-    def ray_log(self, o, x, u, t):
-        return (x - t * u) - o
 
 
 class HyperbolicFactor:
@@ -247,26 +235,10 @@ class HyperbolicFactor:
         shc = np.where(moving, np.sinh(kt) / np.where(moving, kt, 1.0), 1.0)
         return np.cosh(kt) * x + shc * v
 
-    def log(self, x, y):
-        k = self.kappa
-        z = -k * k * self.minkowski(x, y)
-        if z > 2.0:
-            d, w = math.acosh(z) / k, y - z * x
-        else:
-            # near x, z - 1 cancels to rounding noise below d ~ 1e-8: take d
-            # from the chord, |y - x| = (2/k) sinh(k d / 2), and
-            # y - z x = (y - x) - (z - 1) x with z - 1 = (k |y - x|)^2 / 2
-            chord = math.sqrt(max(self.minkowski(y - x, y - x), 0.0))
-            d = 2.0 * math.asinh(0.5 * k * chord) / k
-            w = (y - x) - 0.5 * (k * chord) ** 2 * x
-        if d < 1e-300:
-            return np.zeros_like(x)
-        u = w * (k / math.sinh(k * d))
-        return d * u
-
     def dist(self, xs, y):
         z = np.maximum(-self.kappa ** 2 * self.minkowski(xs, y), 1.0)
-        # near y, z - 1 cancels as in `log`: take d from the chord there
+        # near y, z - 1 cancels to rounding noise below d ~ 1e-8: take d
+        # from the chord there, |xs - y| = (2/k) sinh(k d / 2)
         w = xs - y
         chord = np.sqrt(np.maximum(self.minkowski(w, w), 0.0))
         return np.where(z > 2.0, np.arccosh(z),
@@ -277,26 +249,24 @@ class HyperbolicFactor:
         denom = 1.0 - k2 * self.minkowski(x, y)
         return v + (k2 * self.minkowski(y, v) / denom)[..., None] * (x + y)
 
-    def frame(self, x):
-        """Frame rows (..., dim, dim+1): the boost of the standard basis.
+    def to_coords(self, x, v):
+        """Coordinates in the frame at x: the boost of the standard basis.
 
         With y = kappa x[:-1] and t = kappa x[-1] the boost taking the
         origin to x has columns [I + y y^T / (1 + t) | y] over [y^T | t];
         its first dim columns are Minkowski-orthonormal and tangent at x,
-        and at the origin they are the standard basis.
+        so c_i = v_i + y_i (<y, v[:-1]> / (1 + t) - v[-1]).
         """
-        y = self.kappa * x[..., :-1]
-        t = self.kappa * x[..., -1:]
-        boost = y[..., :, None] * (y / (1.0 + t))[..., None, :]
-        return np.concatenate([np.eye(self.dim) + boost, y[..., :, None]],
-                              axis=-1)
-
-    def to_coords(self, x, v):
-        return self.minkowski(self.frame(x), v[..., None, :])
+        y, t = self.kappa * x[..., :-1], self.kappa * x[..., -1:]
+        yv = np.sum(y * v[..., :-1], axis=-1, keepdims=True)
+        return v[..., :-1] + y * (yv / (1.0 + t) - v[..., -1:])
 
     def from_coords(self, x, c):
+        """sum_i c_i (boost column i) = (c + y <c, y> / (1 + t), <c, y>)."""
         c = np.asarray(c, dtype=float)
-        return np.sum(c[..., :, None] * self.frame(x), axis=-2)
+        y, t = self.kappa * x[..., :-1], self.kappa * x[..., -1:]
+        cy = np.sum(c * y, axis=-1, keepdims=True)
+        return np.concatenate([c + y * (cy / (1.0 + t)), cy], axis=-1)
 
     def dexp(self, x, v, w):
         """d/ds exp_x(v + s w) at s = 0 (closed form, series near v = 0)."""
@@ -316,13 +286,6 @@ class HyperbolicFactor:
 
     def curvature_lower_bound(self):
         return self.kappa
-
-    def sectional_numerator(self, x, u, v):
-        # constant curvature -kappa^2
-        g_uu = self.minkowski(u, u)
-        g_vv = self.minkowski(v, v)
-        g_uv = self.minkowski(u, v)
-        return -self.kappa ** 2 * (g_uu * g_vv - g_uv * g_uv)
 
     # Busemann closed forms (ideal point p = o + v/kappa, Q(p,p) = 0) -------
 
@@ -362,13 +325,6 @@ class HyperbolicFactor:
         p = x - u / k  # null vector of the ray exp_x(-t u)
         c = -1.0 / (k * k * self.minkowski(o, p))
         return k * (c[..., None] * p - o)
-
-    def ray_time_cap(self, x, v):
-        # keep cosh(kappa t) squarable in double precision
-        return 300.0 / self.kappa
-
-    def ray_log(self, o, x, u, t):
-        return self.log(o, self.exp(x, -t * u))
 
 
 class SPDFactor:
@@ -436,13 +392,6 @@ class SPDFactor:
         xs, xsi = spd_inv_sqrt(x)
         return _sym_stack(xs @ sym_exp(xsi @ v @ xsi) @ xs)
 
-    def log(self, x, y):
-        xs, xsi = spd_inv_sqrt(x)
-        m = xsi @ y @ xsi
-        w, q = np.linalg.eigh(0.5 * (m + m.T))
-        l = (q * np.log(w)) @ q.T
-        return xs @ l @ xs
-
     def dist(self, xs, y):
         _, ysi = spd_inv_sqrt(y)
         w = np.linalg.eigvalsh(_sym_stack(ysi @ xs @ ysi))
@@ -456,19 +405,20 @@ class SPDFactor:
         e = xs @ half @ xsi
         return e @ v @ np.swapaxes(e, -1, -2)
 
-    def frame(self, x):
-        """Frame (..., dim, n, n): the identity frame pushed forward to x."""
-        xs = spd_inv_sqrt(x)[0][..., None, :, :]
-        return xs @ self._frame_identity @ xs
-
     def to_coords(self, x, v):
-        xi = np.linalg.inv(x)
-        m = (xi @ v @ xi)[..., None, :, :]
-        return self.metric_coef() * np.sum(self.frame(x) * m, axis=(-2, -1))
+        """Coordinates in the frame x^1/2 F_a x^1/2 pushed forward from the
+        identity frame F_a: metric_coef * tr(F_a x^-1/2 v x^-1/2)."""
+        xsi = spd_inv_sqrt(x)[1]
+        m = (xsi @ v @ xsi)[..., None, :, :]
+        return self.metric_coef() * np.sum(self._frame_identity * m,
+                                           axis=(-2, -1))
 
     def from_coords(self, x, c):
+        """sum_a c_a x^1/2 F_a x^1/2 = x^1/2 (sum_a c_a F_a) x^1/2."""
         c = np.asarray(c, dtype=float)
-        return np.sum(c[..., :, None, None] * self.frame(x), axis=-3)
+        xs = spd_inv_sqrt(x)[0]
+        return xs @ np.sum(c[..., :, None, None] * self._frame_identity,
+                           axis=-3) @ xs
 
     def dexp(self, x, v, w):
         """Daleckii-Krein: D exp_V[E] = Q (G o Q^T E Q) Q^T, V = Q diag(l) Q^T.
@@ -495,13 +445,6 @@ class SPDFactor:
         """
         return (lie_structure.max_root_norm(self.n) / math.sqrt(self.lam)
                 * (1.0 + SPD_CURVATURE_MARGIN))
-
-    def sectional_numerator(self, x, u, v):
-        xsi = spd_inv_sqrt(x)[1]
-        u0 = xsi @ u @ xsi
-        v0 = xsi @ v @ xsi
-        w = u0 @ v0 - v0 @ u0
-        return 0.125 * self.n * self.lam * float(np.trace(w @ w))
 
     # Busemann closed forms (Iwasawa principal-minor formula) ----------------
 
@@ -621,35 +564,6 @@ class SPDFactor:
         v0 = (q * dvals) @ np.swapaxes(q, -1, -2)
         return osq @ v0 @ osq
 
-    def ray_time_cap(self, x, v):
-        return math.inf
-
-    def ray_log(self, o, x, u, t):
-        """log_o(exp_x(t * (-u))), stable for large t.
-
-        Far ray points have eigenvalue spread e^{t(d_max - d_min)}; past
-        the double-precision eigensolver's reliable range the principal
-        logarithm is computed in mpmath working precision instead.
-        """
-        osq, osi = spd_inv_sqrt(o)
-        xs, xsi = spd_inv_sqrt(x)
-        w = -xsi @ u @ xsi
-        dvals, k = np.linalg.eigh(0.5 * (w + w.T))
-        spread = t * float(dvals[-1] - dvals[0])
-        if spread <= 25.0:
-            return self.log(o, self.exp(x, -t * u))
-        import mpmath as mp
-        b = osi @ xs @ k
-        with mp.workdps(int(spread / math.log(10.0)) + 30):
-            bm = mp.matrix(b.tolist())
-            e = mp.diag([mp.exp(mp.mpf(t) * mp.mpf(float(d))) for d in dvals])
-            m = bm * e * bm.T
-            wv, q = mp.eigsy((m + m.T) / 2)
-            logw = [float(mp.log(wv[i])) for i in range(self.n)]
-            qf = np.array(q.tolist(), dtype=float)
-        logm = (qf * logw) @ qf.T
-        return osq @ (0.5 * (logm + logm.T)) @ osq
-
 
 def _mpmath_spd_distance(x0si, k, delta, t, scale):
     import mpmath as mp
@@ -747,13 +661,6 @@ class SymmetricSpace:
             f.project_point(f.exp(xp, vp))
             for f, xp, vp in zip(self.factors, x.parts, v.parts)))
 
-    def log_map(self, x: Point, y: Point) -> Tangent:
-        return Tangent(self, x, tuple(
-            f.log(xp, yp) for f, xp, yp in zip(self.factors, x.parts, y.parts)))
-
-    def distance(self, x: Point, y: Point) -> float:
-        return float(self.distance_many(x.parts, y))
-
     def distance_many(self, parts_stacks, y: Point):
         """Distances from a stack of points (list of stacked factor arrays)."""
         return np.sqrt(sum(f.dist(xs, yp) ** 2 for f, xs, yp
@@ -805,24 +712,7 @@ class SymmetricSpace:
             k += f.dim
         return Tangent(self, x, tuple(parts))
 
-    # -- curvature -------------------------------------------------------------
-
-    def sectional_curvature_sample(self, x: Point, u: Tangent, v: Tangent) -> float:
-        g_uu = self.inner(u, u)
-        g_vv = self.inner(v, v)
-        g_uv = self.inner(u, v)
-        gram = g_uu * g_vv - g_uv * g_uv
-        if gram < 1e-14 * (1.0 + g_uu) * (1.0 + g_vv):
-            raise DegeneratePlaneError("tangent vectors are linearly dependent")
-        num = sum(f.sectional_numerator(xp, up, vp)
-                  for f, xp, up, vp in zip(self.factors, x.parts, u.parts, v.parts))
-        return num / gram
-
     # -- sampling ---------------------------------------------------------------
-
-    def random_tangent(self, x: Point, rng) -> Tangent:
-        c = rng.standard_normal(self.total_dim)
-        return self.coords_to_tangent(x, c)
 
     def unit_tangent(self, x: Point, c) -> Tangent:
         """The unit tangent at x along frame coordinates c, or one per row

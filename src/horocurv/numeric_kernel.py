@@ -5,8 +5,8 @@ Everything here operates on small (dim <= ~15) real matrices; `op_norm`,
 stack, one LAPACK call per matrix either way.  Reductions run in fixed
 index order and the eigensolver is LAPACK's deterministic symmetric
 driver, so repeated calls on identical inputs are bit-stable.
-`richardson_limit` is the one Richardson extrapolation ladder used by the
-truncated Busemann oracle and the asymptotic-ray translation.
+`richardson_limit` is the one Richardson extrapolation ladder, used by the
+truncated Busemann oracle.
 """
 
 from __future__ import annotations
@@ -71,15 +71,6 @@ def psd_sqrt(m) -> SymMatrix:
                           f"tolerance -{PSD_CLAMP_REL:.0e}(1 + ||m||)")
     sq = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     return SymMatrix((q * sq) @ np.swapaxes(q, -1, -2))
-
-
-def mat_log_spd(m) -> np.ndarray:
-    """Principal logarithm of a symmetric positive-definite matrix."""
-    a = _as_sym_array(m)
-    w, q = np.linalg.eigh(a)
-    if w.size and w[0] <= 0.0:
-        raise InputDomainError(f"matrix is not positive definite (min eig {w[0]:.3e})")
-    return (q * np.log(w)) @ q.T
 
 
 def sym_exp(m) -> np.ndarray:

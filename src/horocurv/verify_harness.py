@@ -119,10 +119,13 @@ class VerificationReport:
                 "runtime_ms": self.runtime_ms}
 
 
-def _need_samples(samples: int):
+def _need_samples(samples: int, radius: float = 1.0):
+    """Reject a check of no sample, or of samples in a ball of no radius."""
     if samples < 1:
         raise InputDomainError(f"samples must be at least 1, got {samples}: "
                                "a check of no sample proves nothing")
+    if not radius > 0.0:
+        raise InputDomainError(f"audit radius must be positive, got {radius}")
 
 
 def _report(check, M, space, **kw):
@@ -491,7 +494,7 @@ def hessian_oracle_check(space: SymmetricSpace, o: Point, samples: int = 50,
     Random (v, x) with d(o, x) <= radius; pass iff the max entrywise
     difference stays below 1e-3.
     """
-    _need_samples(samples)
+    _need_samples(samples, radius)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -520,7 +523,7 @@ def hessian_bounds_check(space: SymmetricSpace, o: Point, samples: int = 1000,
     ||Hess B_v - Hess B_v'||_op <= kappa (n+1) |grad B_v - grad B_v'|
     with relative slack 1e-6, over random (v, v', x).
     """
-    _need_samples(samples)
+    _need_samples(samples, radius)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     kappa = space.curvature_lower_bound
@@ -561,9 +564,7 @@ def lipschitz_check(space: SymmetricSpace, o: Point, samples: int = 500,
     gate is an error, not a sample.  The report shows the largest upper
     ratio.
     """
-    _need_samples(samples)
-    if radius <= 0.0:
-        raise InputDomainError("audit radius must be positive")
+    _need_samples(samples, radius)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     x, c1, c2 = random_samples(space, o, rng, samples, radius)
@@ -632,7 +633,7 @@ def gauss_consistency_check(M, o: Point, min_nodes: int = 1000,
 # standalone matrix audits
 # ---------------------------------------------------------------------------
 
-def det_comparison_audit(dim: int, samples: int, seed: int
+def det_comparison_audit(dim: int = 6, samples: int = 1000, seed: int = 42
                          ) -> VerificationReport:
     """Determinant comparisons used in the Jacobian argument.
 
@@ -669,7 +670,7 @@ def det_comparison_audit(dim: int, samples: int, seed: int
         details={"dim": dim, "samples": samples})
 
 
-def sqrt_perturbation_audit(dim: int, samples: int, seed: int
+def sqrt_perturbation_audit(dim: int = 8, samples: int = 1000, seed: int = 42
                             ) -> VerificationReport:
     """||sqrt(A^2) - sqrt(B^2)||_op <= sqrt(dim) ||A - B||_op for symmetric A, B.
 

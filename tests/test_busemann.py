@@ -9,7 +9,7 @@ from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
 from horocurv.model_spaces import Point, Tangent, parse_space
 from horocurv.numeric_kernel import psd_sqrt, spd_inv_sqrt
-from oracles import sl
+from oracles import distance, random_tangent, sl
 
 SPD_SPECS = ["spd:2", "spd:3", "spd:4,lambda=2.5"]
 
@@ -26,7 +26,7 @@ def _random_setup(spec, seed, radius=1.5):
 def test_unit_direction_required():
     space = parse_space("euclidean:3")
     o = space.origin()
-    v = space.random_tangent(o, np.random.default_rng(0))
+    v = random_tangent(space, o, np.random.default_rng(0))
     v = space.scale(v, 2.0 / space.norm(v))
     with pytest.raises(InputDomainError):
         BusemannFunction(space, o, v)
@@ -58,12 +58,12 @@ def test_product_value_formula():
     rng = np.random.default_rng(3)
     o = space.origin()
     theta = 0.7
-    vh = space.factors[0].frame(o.parts[0])[0]
+    fh, fe = space.factors
+    vh = fh.from_coords(o.parts[0], np.eye(fh.dim))[0]   # first frame vector
     ve = np.array([1.0, 0.0])
     v = space.tangent(o, (math.cos(theta) * vh, math.sin(theta) * ve))
     bus = BusemannFunction(space, o, v)
     x = space.random_point(o, rng, 1.5)
-    fh, fe = space.factors
     b1 = fh.bus_value(fh.bus_data(o.parts[0], vh), x.parts[0])
     b2 = fe.bus_value(fe.bus_data(o.parts[1], ve), x.parts[1])
     expected = math.cos(theta) * b1 + math.sin(theta) * b2
@@ -279,4 +279,4 @@ def test_lipschitz_continuity_in_x():
     bus = BusemannFunction(space, o, v)
     rng = np.random.default_rng(16)
     y = space.random_point(x, rng, 0.5)
-    assert abs(bus.value(x) - bus.value(y)) <= space.distance(x, y) + 1e-10
+    assert abs(bus.value(x) - bus.value(y)) <= distance(space, x, y) + 1e-10

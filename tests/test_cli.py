@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,15 @@ from horocurv.errors import HorocurvError
 from horocurv.model_spaces import parse_space
 
 jsonschema = pytest.importorskip("jsonschema")
+
+
+def _config_text(cfg):
+    """A config file that lists every field of cfg; it replays cfg's run."""
+    lines = [f"checks = {' '.join(cfg.checks)}"]
+    for f in fields(cfg):
+        if f.name != "checks" and getattr(cfg, f.name) is not None:
+            lines.append(f"{f.name} = {getattr(cfg, f.name)}")
+    return "\n".join(lines) + "\n"
 
 
 def _schema():
@@ -424,7 +434,7 @@ def test_csv_format(capsys):
 def test_config_file_round_trip(tmp_path):
     cfg = SuiteConfig(checks=["contact", "willmore"], space="spd:3",
                       grid="8^4", seed=9, radius=0.5)
-    assert parse_config_text(cfg.to_text()) == cfg
+    assert parse_config_text(_config_text(cfg)) == cfg
 
 
 def test_config_file_drives_run(tmp_path, capsys):
@@ -450,10 +460,10 @@ def _checks_run(capsys, argv):
 
 @pytest.mark.parametrize("command", ["verify", "audit"])
 def test_checks_from_flag_or_config(tmp_path, capsys, command):
-    # a SuiteConfig.to_text file replays its own run, checks included, and
-    # positional checks win over the file's
+    # a file of every SuiteConfig field replays its own run, checks
+    # included, and positional checks win over the file's
     path = tmp_path / "suite.cfg"
-    path.write_text(SuiteConfig(checks=["det-audit"], samples=5).to_text())
+    path.write_text(_config_text(SuiteConfig(checks=["det-audit"], samples=5)))
     argv = [command, "--config", str(path)]
     assert _checks_run(capsys, argv) == (0, ["det-audit"])
     assert _checks_run(capsys, argv + ["sqrt-audit"]) == (0, ["sqrt-audit"])
@@ -483,7 +493,7 @@ def test_failing_check_exit_one(capsys, monkeypatch):
     from horocurv import cli, verify_harness as vh
     real_audit = vh.det_comparison_audit
 
-    def fake_audit(dim, samples, seed):
+    def fake_audit(dim=6, samples=1000, seed=42):
         rep = real_audit(3, 1, seed)
         rep.passed = False
         return rep
@@ -526,6 +536,20 @@ def test_sampled_hessian_checks_read_radius(capsys):
             space, space.origin(), 3, radius=radius).lhs
         assert bounds["lhs"] == vh.hessian_bounds_check(
             space, space.origin(), 3, radius=radius).lhs
+
+
+@pytest.mark.parametrize("check", ["hessian-oracle", "hessian-bounds"])
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_sampled_hessian_check_of_no_ball_is_input_error(capsys, check,
+                                                         radius):
+    # radius 0 puts every sample at o and a negative one samples the ball of
+    # |radius|: an input error (exit 2), as for lipschitz, not a pass
+    rc = main(["verify", check, "--space", "spd:3", "--samples", "5",
+               "--radius", radius])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert "radius must be positive" in err
 
 
 def test_isoperimetric_surface_must_be_sphere(tmp_path, capsys):

@@ -6,10 +6,10 @@ import pytest
 from horocurv import verify_harness as vh
 from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
-from horocurv.gauss_map import (gauss_differential, translate_direction,
-                                translate_direction_ray)
+from horocurv.gauss_map import gauss_differential, translate_direction
 from horocurv.hypersurface import geodesic_sphere
 from horocurv.model_spaces import parse_space
+from oracles import log_map, translate_direction_ray
 
 SPECS = ["euclidean:3", "hyperbolic:3,kappa=1.5", "spd:3"]
 
@@ -59,7 +59,7 @@ def test_on_ray_anchor(spec):
     o = space.origin()
     v = space.random_unit_tangent(o, rng)
     x = space.exp_map(o, space.scale(v, 1.2))
-    u = space.scale(space.log_map(x, o), -1.0 / 1.2)   # unit, away from o
+    u = space.scale(log_map(space, x, o), -1.0 / 1.2)   # unit, away from o
     got, _ = translate_direction(space, o, x, u)
     assert space.norm(space.add(got, v)) < 1e-7
 

@@ -12,6 +12,7 @@ from horocurv.hypersurface import (Hypersurface, RadiusProfile, ball_volume,
                                    geodesic_sphere, parse_grid, parse_surface,
                                    radial_graph)
 from horocurv.model_spaces import parse_space
+from oracles import distance, log_map
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,7 @@ def test_outward_orientation(h3):
     for node in range(0, M.size, 41):
         d = M.grid_forms()[node]
         x, nu = d.x, d.nu
-        radial = space.log_map(o, x)   # tangent at o; transport to x
+        radial = log_map(space, o, x)   # tangent at o; transport to x
         radial_x = space.parallel_transport(o, x, radial)
         assert space.inner(nu, radial_x) > 0.0
 
@@ -288,7 +289,7 @@ def test_spd_sphere_mesh_injective():
     space = parse_space("spd:3")
     M = geodesic_sphere(space, space.origin(), 0.5, [4, 4, 4, 6])
     pts = [M.embed(p) for p in M.params[::7]]
-    dmin = min(space.distance(p, q)
+    dmin = min(distance(space, p, q)
                for i, p in enumerate(pts) for q in pts[i + 1:])
     assert dmin > 1e-3
 
@@ -323,8 +324,8 @@ def test_grid_spec_round_trip(e3):
     ("spd:3", "geodesic-sphere:r=0.5", [3] * 4),
 ], ids=["h3-graph", "spd3-sphere"])
 def test_point_evaluators_agree(spec, surface, grid):
-    # embed and chart take the single-parameter branch of the direction map,
-    # points_stack the stacked one; all three give the same surface point
+    # embed and chart evaluate one parameter point, points_stack the whole
+    # grid as one stack, all through `_evaluate`; they give the same point
     space = parse_space(spec)
     M = Hypersurface(space, space.origin(), parse_surface(surface), grid)
     stacks = M.points_stack().parts

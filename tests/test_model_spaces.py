@@ -7,7 +7,9 @@ import pytest
 
 from horocurv.errors import ConfigError, InputDomainError
 from horocurv.model_spaces import SPD_CURVATURE_MARGIN, Tangent, parse_space
-from oracles import algebraic_sectional_curvature, sl
+from oracles import (algebraic_sectional_curvature, distance, frame,
+                     frame_from_coords, frame_to_coords, log_map,
+                     random_tangent, sectional_curvature_sample, sl)
 
 SPACES = {
     "euclidean:3": "euclidean:3",
@@ -36,9 +38,9 @@ def test_exp_log_roundtrip(space):
     rng = np.random.default_rng(0)
     o = space.origin()
     for _ in range(10):
-        v = space.random_tangent(o, rng)
+        v = random_tangent(space, o, rng)
         x = space.exp_map(o, v)
-        w = space.log_map(o, x)
+        w = log_map(space, o, x)
         assert (space.norm(space.add(v, space.scale(w, -1.0)))
                 < 1e-8 * (1.0 + space.norm(v)))
 
@@ -49,7 +51,7 @@ def test_log_near_base_point(space):
     o = space.origin()
     v = space.random_unit_tangent(o, rng)
     for d in (1e-10, 1e-6):
-        w = space.log_map(o, space.exp_map(o, space.scale(v, d)))
+        w = log_map(space, o, space.exp_map(o, space.scale(v, d)))
         assert space.norm(space.add(w, space.scale(v, -d))) < 1e-4 * d
 
 
@@ -60,7 +62,7 @@ def test_dist_near_base_point(space):
     v = space.random_unit_tangent(o, rng)
     for d in (1e-10, 1e-8, 1e-6, 1e-3):
         x = space.exp_map(o, space.scale(v, d))
-        assert abs(space.distance(o, x) - d) < 1e-4 * d
+        assert abs(distance(space, o, x) - d) < 1e-4 * d
 
 
 def test_distance_matches_log_norm(space):
@@ -68,7 +70,8 @@ def test_distance_matches_log_norm(space):
     o = space.origin()
     for _ in range(10):
         x = space.random_point(o, rng, 2.0)
-        assert abs(space.distance(o, x) - space.norm(space.log_map(o, x))) < 1e-8
+        assert abs(distance(space, o, x)
+                   - space.norm(log_map(space, o, x))) < 1e-8
 
 
 def test_geodesic_unit_speed(space):
@@ -77,7 +80,7 @@ def test_geodesic_unit_speed(space):
     v = space.random_unit_tangent(o, rng)
     for t in (0.1, 0.7, 1.9):
         x = space.exp_map(o, space.scale(v, t))
-        assert abs(space.distance(o, x) - t) < 1e-9 * (1.0 + t)
+        assert abs(distance(space, o, x) - t) < 1e-9 * (1.0 + t)
 
 
 def test_distance_many_matches_scalar(space):
@@ -89,7 +92,7 @@ def test_distance_many_matches_scalar(space):
     y = space.random_point(o, rng, 1.5)
     d = space.distance_many(stacks, y)
     for i, p in enumerate(pts):
-        assert abs(d[i] - space.distance(p, y)) < 1e-10 * (1.0 + d[i])
+        assert abs(d[i] - distance(space, p, y)) < 1e-10 * (1.0 + d[i])
 
 
 def test_frame_orthonormal(space):
@@ -102,12 +105,62 @@ def test_frame_orthonormal(space):
     assert np.max(np.abs(gram - np.eye(dim))) < 1e-9
 
 
+@pytest.mark.parametrize("spec,radius", [
+    ("hyperbolic:3,kappa=1", 10.0), ("hyperbolic:2,kappa=0.5", 10.0),
+    ("spd:3", 4.0), ("spd:4,lambda=2.5", 4.0),
+    ("euclidean:1xhyperbolic:2,kappa=0.8xspd:2", 4.0)])
+def test_coords_match_materialized_frames(spec, radius):
+    # the closed-form to_coords/from_coords against the materialized frames
+    # of tests/oracles.py, on a stack of points at distances 0..radius and
+    # on each point alone; an error is measured against |vector| * |frame|,
+    # the size of the terms each coordinate map sums (raw hyperboloid
+    # coordinates at distance 10 are ~cosh(10) ~ 1e4)
+    space = parse_space(spec)
+    rng = np.random.default_rng(9)
+    k, dim = 12, space.total_dim
+    dirs = rng.standard_normal((k, dim))
+    dirs *= (np.linspace(0.0, radius, k)
+             / np.linalg.norm(dirs, axis=-1))[:, None]
+    o = space.origin()
+    xs = space.exp_map(o, space.coords_to_tangent(o, dirs))
+    c = rng.standard_normal((k, dim))
+
+    def check(got, want, size):
+        err = np.abs(np.asarray(got) - want).reshape(len(size), -1)
+        assert np.all(np.max(err, axis=-1) <= 1e-12 * size)
+
+    parts, coords, sizes, pos = [], [], [], 0
+    for f, xf in zip(space.factors, xs.parts):
+        cf = c[:, pos:pos + f.dim]
+        pos += f.dim
+        rows = frame(f, xf).reshape(k, f.dim, -1)
+        fsize = np.max(np.linalg.norm(rows, axis=-1), axis=-1)
+        v = frame_from_coords(f, xf, cf)
+        cv = frame_to_coords(f, xf, v)
+        csize = np.linalg.norm(cf, axis=-1) * fsize
+        vsize = np.linalg.norm(v.reshape(k, -1), axis=-1) * fsize
+        check(f.from_coords(xf, cf), v, csize)
+        check(f.to_coords(xf, v), cv, vsize)
+        for i in range(k):
+            check(f.from_coords(xf[i], cf[i]), v[i], csize[i:i + 1])
+            check(f.to_coords(xf[i], v[i]), cv[i], vsize[i:i + 1])
+        parts.append(v)
+        coords.append(cv)
+        sizes.append((csize, vsize))
+    # the space's maps assemble the factor maps
+    csize, vsize = np.max(sizes, axis=0)
+    for got, want in zip(space.coords_to_tangent(xs, c).parts, parts):
+        check(got, want, csize)
+    check(space.tangent_to_coords(Tangent(space, xs, tuple(parts))),
+          np.concatenate(coords, axis=-1), vsize)
+
+
 def test_parallel_transport_isometry(space):
     rng = np.random.default_rng(5)
     o = space.origin()
     x = space.random_point(o, rng, 1.5)
-    u = space.random_tangent(o, rng)
-    v = space.random_tangent(o, rng)
+    u = random_tangent(space, o, rng)
+    v = random_tangent(space, o, rng)
     tu = space.parallel_transport(o, x, u)
     tv = space.parallel_transport(o, x, v)
     assert abs(space.inner(tu, tv) - space.inner(u, v)) < 1e-8
@@ -116,16 +169,16 @@ def test_parallel_transport_isometry(space):
 def test_exp_differential_matches_fd(space):
     rng = np.random.default_rng(6)
     o = space.origin()
-    v = space.random_tangent(o, rng)
-    w = space.random_tangent(o, rng)
+    v = random_tangent(space, o, rng)
+    w = random_tangent(space, o, rng)
     d = space.exp_differential(o, v, w)
     h = 1e-5
     xp = space.exp_map(o, space.add(v, space.scale(w, h)))
     xm = space.exp_map(o, space.add(v, space.scale(w, -h)))
-    fd_coords = (np.asarray(space.tangent_to_coords(space.log_map(
-        space.exp_map(o, v), xp)))
-        - np.asarray(space.tangent_to_coords(space.log_map(
-            space.exp_map(o, v), xm)))) / (2 * h)
+    y = space.exp_map(o, v)
+    fd_coords = (np.asarray(space.tangent_to_coords(log_map(space, y, xp)))
+                 - np.asarray(space.tangent_to_coords(log_map(space, y, xm)))
+                 ) / (2 * h)
     assert np.max(np.abs(space.tangent_to_coords(d) - fd_coords)) < 1e-5
 
 
@@ -135,9 +188,9 @@ def test_sectional_curvature_within_bound(space):
     kappa = space.curvature_lower_bound
     for _ in range(50):
         x = space.random_point(o, rng, 1.0)
-        u = space.random_tangent(x, rng)
-        v = space.random_tangent(x, rng)
-        sec = space.sectional_curvature_sample(x, u, v)
+        u = random_tangent(space, x, rng)
+        v = random_tangent(space, x, rng)
+        sec = sectional_curvature_sample(space, x, u, v)
         assert -(kappa ** 2) - 1e-9 <= sec <= 1e-9
 
 
@@ -147,8 +200,9 @@ def test_hyperbolic_constant_curvature():
     o = space.origin()
     for _ in range(20):
         x = space.random_point(o, rng, 1.0)
-        sec = space.sectional_curvature_sample(
-            x, space.random_tangent(x, rng), space.random_tangent(x, rng))
+        sec = sectional_curvature_sample(
+            space, x, random_tangent(space, x, rng),
+            random_tangent(space, x, rng))
         assert abs(sec + 1.5 ** 2) < 1e-8
 
 
