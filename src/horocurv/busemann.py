@@ -21,9 +21,10 @@ broadcast them against the point axes of x (D directions at D points give
 D results, `bus[:, None]` at N points a (D, N) array), and `bus[idx]`
 selects directions.
 
-Every closed form is cross-validated in the test suite against
-`truncated_oracle`, which only uses distances along the defining ray
-(with Richardson acceleration of the 1/T tail).
+The closed-form Hessian is cross-validated against `truncated_hessian`,
+which only uses distances along the defining ray (with Richardson
+acceleration of the 1/T tail), by the `hessian-oracle` check; the test
+suite holds values and gradients to the same truncated distances.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ from .errors import InputDomainError, OracleFailure
 from .model_spaces import Point, SymmetricSpace, Tangent
 from .numeric_kernel import SymMatrix, richardson_limit
 
-TOL_TRUNC = 1e-8
 T_MAX = 2 ** 10
 H_FD = 1e-4
-TOL_ORACLE_GRAD = 1e-7
 TOL_ORACLE_HESS = 1e-4
 _WEIGHT_EPS = 1e-12
 
@@ -127,55 +126,22 @@ class BusemannFunction:
         out = num / (np.sqrt(np.maximum(t * t + num, 0.0)) + t)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _ladder_limit(self, estimate_at, tol, t_max, t0, label):
-        """Limit of estimate_at(T) as T -> infinity (`richardson_limit`)."""
-        res = richardson_limit(estimate_at, tol, t_max, t0)
-        if res.converged:
-            return res.limit
-        raise OracleFailure(
-            f"truncated Busemann {label} did not converge",
-            diagnostics={"best_column_diff": res.best_diff,
-                         "t_max": t_max, "tol": tol})
+    def truncated_hessian(self, x: Point) -> SymMatrix:
+        """Oracle Hessian at x from truncated distances only.
 
-    def truncated_value(self, x: Point, tol: float = TOL_TRUNC,
-                        t_max: int = T_MAX, t0: float = 8.0) -> float:
-        return float(self._ladder_limit(
-            lambda t: self.truncated_value_at(x, t), tol, t_max, t0, "value"))
-
-    def truncated_oracle(self, x: Point, what: str = "value",
-                         tol: float = TOL_TRUNC, t_max: int = T_MAX,
-                         h: float = H_FD):
-        """Oracle value/gradient/hessian from truncated distances only.
-
-        Derivatives are central finite differences of the truncated value,
-        with every stencil node evaluated at the same truncation T and the
-        whole derivative estimate extrapolated in 1/T.  (Extrapolating the
-        value per node first would inject per-node truncation jitter that
-        the 1/h^2 second difference amplifies catastrophically.)
+        Central finite differences of the truncated value over the stencil
+        0, +-h e_i, +-h (e_i +- e_j), with every stencil node evaluated at
+        the same truncation T and the whole Hessian estimate extrapolated
+        in 1/T (`richardson_limit`).  (Extrapolating the value per node
+        first would inject per-node truncation jitter that the 1/h^2
+        second difference amplifies catastrophically.)
         """
-        if what == "value":
-            return self.truncated_value(x, tol=tol, t_max=t_max)
-        dim = self.space.total_dim
+        dim, h = self.space.total_dim, H_FD
         e = h * np.eye(dim)
         i, j = np.triu_indices(dim, 1)
-        if what == "gradient":
-            steps = np.concatenate([e, -e])
-        elif what == "hessian":
-            # 0, +-h e_i, +-h (e_i + e_j), +-h (e_i - e_j) for i < j
-            steps = np.concatenate([np.zeros((1, dim)), e, -e, e[i] + e[j],
-                                    -e[i] - e[j], e[i] - e[j], e[j] - e[i]])
-        else:
-            raise InputDomainError(f"unknown oracle request {what!r}")
+        steps = np.concatenate([np.zeros((1, dim)), e, -e, e[i] + e[j],
+                                -e[i] - e[j], e[i] - e[j], e[j] - e[i]])
         nodes = self.space.exp_map(x, self.space.coords_to_tangent(x, steps))
-
-        if what == "gradient":
-            def grad_at(t):
-                f = self.truncated_value_at(nodes, t)
-                return (f[:dim] - f[dim:]) / (2.0 * h)
-
-            coords = self._ladder_limit(grad_at, TOL_ORACLE_GRAD, t_max, 8.0,
-                                        "gradient")
-            return self.space.coords_to_tangent(x, coords)
 
         def hess_at(t):
             f0, fp, fm, pp, mm, pm, mp = np.split(
@@ -185,5 +151,10 @@ class BusemannFunction:
             out[i, j] = out[j, i] = (pp + mm - pm - mp) / (4.0 * h * h)
             return out
 
-        return SymMatrix(self._ladder_limit(hess_at, TOL_ORACLE_HESS, t_max,
-                                            8.0, "hessian"))
+        res = richardson_limit(hess_at, TOL_ORACLE_HESS, T_MAX)
+        if not res.converged:
+            raise OracleFailure(
+                "truncated Busemann hessian did not converge",
+                diagnostics={"best_column_diff": res.best_diff,
+                             "t_max": T_MAX, "tol": TOL_ORACLE_HESS})
+        return SymMatrix(res.limit)

@@ -36,10 +36,6 @@ class OracleFailure(HorocurvError):
 class TranslationFailure(HorocurvError):
     """Direction translation to the base fiber did not converge."""
 
-    def __init__(self, message, last_iterates=None):
-        super().__init__(message)
-        self.last_iterates = last_iterates
-
 
 class UnsupportedVolumeError(ConfigError):
     """Ball volume requested on a space with a non-constant-curvature factor."""

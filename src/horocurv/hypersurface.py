@@ -43,6 +43,7 @@ _BLOCK = 256                   # grid nodes per batched chart/forms evaluation
 _DIAM_SUBSAMPLE = 400          # grid nodes in the dense diameter search
 _DIAM_BLOCK_PAIRS = 1 << 14    # node pairs per distance call of that search
 _DIAM_SWEEPS = 4               # alternating rounds against the full grid
+_RADIAL_NODES = 24             # Gauss-Legendre radii of `ball_volume`
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
@@ -54,8 +55,6 @@ def _dir_u_phi(params):
     """n = 2 chart: params (..., 2) = (u, phi); returns (e, de/dparams)."""
     p = np.asarray(params, dtype=float)
     u, phi = p[..., 0], p[..., 1]
-    if np.any(np.abs(u) >= 1.0):
-        raise InputDomainError("latitude parameter out of (-1, 1)")
     s = np.sqrt(1.0 - u * u)
     cphi, sphi = np.cos(phi), np.sin(phi)
     e = np.stack([u, s * cphi, s * sphi], axis=-1)
@@ -283,6 +282,13 @@ class Hypersurface:
             return f"{self.grid_counts[0]}x{self.grid_counts[1]}"
         return f"{self.grid_counts[0]}^{self.n}"
 
+    def in_chart(self, params) -> np.ndarray:
+        """Per parameter row of params (..., n): finite and, on the n = 2
+        chart, with latitude parameter |u| < 1."""
+        p = np.asarray(params, dtype=float)
+        ok = np.all(np.isfinite(p), axis=-1)
+        return ok & (np.abs(p[..., 0]) < 1.0) if self.n == 2 else ok
+
     def _evaluate(self, params):
         """The surface point at params (n,) or (..., n): (x, v, e, de, r, dr).
 
@@ -290,8 +296,13 @@ class Hypersurface:
         unit direction and r the radius profile, with their parameter
         derivatives de, dr.  The one evaluator behind embed, points_stack
         and chart; for a params stack the parts of x are factor stacks.
+        Raises InputDomainError if a row is not `in_chart`.
         """
-        e, de = self._dir_fn(np.asarray(params, dtype=float))
+        params = np.asarray(params, dtype=float)
+        if not np.all(self.in_chart(params)):
+            raise InputDomainError("parameters outside the chart (non-finite,"
+                                   " or latitude out of (-1, 1))")
+        e, de = self._dir_fn(params)
         r, dr = self.profile(e, de)
         v = self.space.coords_to_tangent(self.center, r[..., None] * e)
         return self.space.exp_map(self.center, v), v, e, de, r, dr
@@ -486,8 +497,9 @@ def radial_graph(space: SymmetricSpace, center: Point, base: float, mode: str,
 
 
 def ball_volume(space: SymmetricSpace, center: Point, r: float,
-                radial_nodes: int = 24, grid_counts=None) -> float:
-    """vol of the geodesic ball: radial quadrature of sphere areas.
+                grid_counts=None) -> float:
+    """vol of the geodesic ball: radial quadrature of sphere areas, on
+    _RADIAL_NODES Gauss-Legendre radii.
 
     Only supported on products of constant-curvature factors (geodesic
     spheres foliate the ball and the area integrand is smooth in s).  The
@@ -500,11 +512,11 @@ def ball_volume(space: SymmetricSpace, center: Point, r: float,
     if grid_counts is None:
         grid_counts = [32, 64] if n == 2 else [8] * n
     sphere = geodesic_sphere(space, center, r, grid_counts)
-    t, wt = np.polynomial.legendre.leggauss(radial_nodes)
+    t, wt = np.polynomial.legendre.leggauss(_RADIAL_NODES)
     radii = np.repeat(0.5 * r * (t + 1.0), sphere.size)
-    params, step, jac = np.tile(sphere.params, (radial_nodes, 1)), 2 * n * _BLOCK, []
+    params, step, jac = np.tile(sphere.params, (_RADIAL_NODES, 1)), 2 * n * _BLOCK, []
     for b in range(0, len(radii), step):     # step: a `_forms` stencil chart
         sphere.profile = RadiusProfile(radii[b:b + step])    # radius per node
         jac.append(sphere.chart(params[b:b + step])["jacobian"])
-    weights = sphere.param_weights * np.concatenate(jac).reshape(radial_nodes, -1)
+    weights = sphere.param_weights * np.concatenate(jac).reshape(_RADIAL_NODES, -1)
     return sum(0.5 * r * w * np.sum(a) for w, a in zip(wt, weights))  # node order

@@ -34,8 +34,9 @@ its first `bus_shared` entries depend on o alone, the others carry the
 direction axes of v.  `bus_value` and `bus_grad` broadcast those axes
 against the point axes (direction axes (D, 1) at N points give (D, N),
 with the per-point work done once); `bus_hess` is the Hessian matrix in
-frame coordinates.  `bus_trunc_value`, the truncated distance behind the
-oracle of `busemann`, takes the data of one direction at a point stack.
+frame coordinates.  `bus_trunc_value`, the truncated distance behind
+`BusemannFunction.truncated_hessian`, takes the data of one direction at
+a point stack.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .errors import ConfigError, InputDomainError
 from .numeric_kernel import _sym_stack, spd_inv_sqrt, sym_exp
 
 POINT_TOL = 1e-10
+TANGENT_TOL = 1e-8             # `tangent`: relative residual of a tangent
 SPD_CURVATURE_MARGIN = 0.05    # relative safety margin on the SPD kappa
 
 
@@ -151,7 +153,7 @@ class EuclideanFactor:
     def curvature_lower_bound(self):
         return 0.0
 
-    def check_tangent(self, x, v, tol=POINT_TOL):
+    def check_tangent(self, x, v):
         pass
 
     # Busemann closed forms -------------------------------------------------
@@ -225,8 +227,8 @@ class HyperbolicFactor:
     def inner(self, x, u, v):
         return self.minkowski(u, v)
 
-    def check_tangent(self, x, v, tol=POINT_TOL):
-        if abs(self.minkowski(x, v)) > tol * (1.0 + np.linalg.norm(v)):
+    def check_tangent(self, x, v):
+        if abs(self.minkowski(x, v)) > TANGENT_TOL * (1.0 + np.linalg.norm(v)):
             raise InputDomainError("tangent not Minkowski-orthogonal to base point")
 
     def exp(self, x, v):
@@ -380,12 +382,12 @@ class SPDFactor:
         xi = np.linalg.inv(x)
         return self.metric_coef() * np.trace(xi @ u @ xi @ v, axis1=-2, axis2=-1)
 
-    def check_tangent(self, x, v, tol=POINT_TOL):
+    def check_tangent(self, x, v):
         v = np.asarray(v, dtype=float)
         sym_resid = np.max(np.abs(v - v.T))
         tr_resid = abs(np.trace(np.linalg.solve(x, v)))
-        if sym_resid > tol * (1 + np.max(np.abs(v))) or \
-           tr_resid > tol * (1 + np.max(np.abs(v))):
+        tol = TANGENT_TOL * (1 + np.max(np.abs(v)))
+        if sym_resid > tol or tr_resid > tol:
             raise InputDomainError("SPD tangent must be symmetric and x^-1-traceless")
 
     def exp(self, x, v):
@@ -459,18 +461,19 @@ class SPDFactor:
         k = np.take_along_axis(k, order[..., None, :], axis=-1)
         return osq, osi, delta, k, delta[..., :-1] - delta[..., 1:]
 
-    def _bus_minors(self, data, xs, m):
-        """The leading m x m block of k^T x0^-1 k, x0 = o^-1/2 xs o^-1/2
-        (x0^-1 once per point): its leading minors give the value."""
+    def _bus_minors(self, data, xs):
+        """The leading (n-1) x (n-1) block of k^T x0^-1 k, x0 = o^-1/2 xs
+        o^-1/2 (x0^-1 once per point): its leading minors give the value
+        and the gradient."""
         _, osi, _, k, _ = data
-        k = k[..., :m]
+        k = k[..., :self.n - 1]
         return np.swapaxes(k, -1, -2) @ np.linalg.inv(osi @ xs @ osi) @ k
 
     def bus_value(self, data, xs):
         """The log determinant of each leading block is the sum of the log
         pivots of Gaussian elimination (the block is positive definite, so
         it needs no row exchanges), all taken elementwise over the stacks."""
-        s = self._bus_minors(data, xs, self.n - 1)
+        s = self._bus_minors(data, xs)
         total = logdet = 0.0
         for i in range(self.n - 1):
             piv = s[..., i, i]
@@ -483,10 +486,11 @@ class SPDFactor:
 
     def bus_grad(self, data, x):
         osq, _, _, k, weights = data
-        s = self._bus_minors(data, x, self.n)
-        g0 = np.zeros(s.shape)
+        s = self._bus_minors(data, x)
+        shape = s.shape[:-2] + (self.n, self.n)
+        g0 = np.zeros(shape)
         for i in range(self.n - 1):
-            blk = np.zeros(s.shape)
+            blk = np.zeros(shape)
             blk[..., :i + 1, :i + 1] = np.linalg.inv(s[..., :i + 1, :i + 1])
             g0 -= weights[..., i, None, None] * (k @ blk @ np.swapaxes(k, -1, -2))
         g0 = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
@@ -630,7 +634,7 @@ class SymmetricSpace:
     def tangent(self, base: Point, parts) -> Tangent:
         parts = tuple(np.asarray(p, dtype=float) for p in parts)
         for f, x, v in zip(self.factors, base.parts, parts):
-            f.check_tangent(x, v, tol=1e-8)
+            f.check_tangent(x, v)
         return Tangent(self, base, parts)
 
     def inner(self, u: Tangent, v: Tangent):
@@ -672,14 +676,11 @@ class SymmetricSpace:
             for f, xp, yp, vp in zip(self.factors, x.parts, y.parts, v.parts)))
 
     def exp_differential(self, x: Point, v: Tangent, w: Tangent,
-                         y: Point | None = None) -> Tangent:
+                         y: Point) -> Tangent:
         """d/ds exp_x(v + s w) at s = 0, as a tangent at y = exp_x(v).
 
-        v and w may be stacks that broadcast against each other; pass y
-        when exp_x(v) is already known.
+        v and w may be stacks that broadcast against each other.
         """
-        if y is None:
-            y = self.exp_map(x, v)
         return Tangent(self, y, tuple(
             f.dexp(xp, vp, wp)
             for f, xp, vp, wp in zip(self.factors, x.parts, v.parts, w.parts)))
@@ -694,9 +695,6 @@ class SymmetricSpace:
     # -- frames and coordinates ----------------------------------------------
 
     def tangent_to_coords(self, v: Tangent) -> np.ndarray:
-        if len(self.factors) == 1:
-            return np.atleast_1d(
-                self.factors[0].to_coords(v.base.parts[0], v.parts[0]))
         return np.concatenate([
             f.to_coords(xp, vp)
             for f, xp, vp in zip(self.factors, v.base.parts, v.parts)], axis=-1)
@@ -704,8 +702,6 @@ class SymmetricSpace:
     def coords_to_tangent(self, x: Point, c) -> Tangent:
         """Tangent at x from frame coordinates c, or from a (..., dim) stack."""
         c = np.asarray(c, dtype=float)
-        if len(self.factors) == 1:
-            return Tangent(self, x, (self.factors[0].from_coords(x.parts[0], c),))
         parts, k = [], 0
         for f, xp in zip(self.factors, x.parts):
             parts.append(f.from_coords(xp, c[..., k:k + f.dim]))

@@ -98,28 +98,25 @@ class LadderResult(NamedTuple):
     """Outcome of `richardson_limit`.
 
     `limit` is the best column of the last row compared (the limit when
-    `converged`), `best_diff` its Cauchy difference and `last_estimate`
-    the plain estimate at the largest T; each is None when the ladder
-    never got that far.
+    `converged`) and `best_diff` its Cauchy difference; each is None when
+    the ladder never got that far.
     """
 
     converged: bool
     limit: np.ndarray | None
     best_diff: float | None
-    last_estimate: np.ndarray | None
 
 
-def richardson_limit(estimate_at, tol: float, t_max: float,
-                     t0: float) -> LadderResult:
+def richardson_limit(estimate_at, tol: float, t_max: float) -> LadderResult:
     """Limit of estimate_at(T) as T -> infinity over a doubling ladder.
 
-    Builds a Richardson table in powers of 1/T for T = t0, 2 t0, ... <= t_max
+    Builds a Richardson table in powers of 1/T for T = 8, 16, ... <= t_max
     and stops as soon as any column is Cauchy below tol (column 0 catches
     exponential-rate convergence, deeper columns catch algebraic 1/T
     tails).  estimate_at returns an ndarray; the limit has the same shape.
     """
     table = []
-    t = t0
+    t = 8.0
     best, best_diff = None, None
     while t <= t_max + 1e-9:
         row = [np.asarray(estimate_at(t), dtype=float)]
@@ -133,8 +130,7 @@ def richardson_limit(estimate_at, tol: float, t_max: float,
             jbest = int(np.argmin(diffs))
             best, best_diff = row[jbest], diffs[jbest]
             if best_diff < tol:
-                return LadderResult(True, best, best_diff, row[0])
+                return LadderResult(True, best, best_diff)
         table.append(row)
         t *= 2.0
-    return LadderResult(False, best, best_diff,
-                        table[-1][0] if table else None)
+    return LadderResult(False, best, best_diff)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .busemann import BusemannFunction
 from .errors import InputDomainError, TranslationFailure
 from .gauss_map import (TOL_GAUSS, gauss_differential, random_samples,
                         translate_direction)
-from .hypersurface import _join, ball_volume, geodesic_sphere
+from .hypersurface import ball_volume, geodesic_sphere
 from .lie_structure import ad_matrix, basis, p_dim
 from .model_spaces import Point, SymmetricSpace, Tangent
 from .numeric_kernel import op_norm, psd_sqrt
@@ -65,10 +66,9 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
-def ball_volume_euclidean(n_plus_1: int, r: float = 1.0) -> float:
-    """Volume of the Euclidean ball of dimension n+1."""
-    return (math.pi ** (n_plus_1 / 2.0) / math.gamma(n_plus_1 / 2.0 + 1.0)
-            * r ** n_plus_1)
+def ball_volume_euclidean(n_plus_1: int) -> float:
+    """Volume of the Euclidean unit ball of dimension n+1."""
+    return math.pi ** (n_plus_1 / 2.0) / math.gamma(n_plus_1 / 2.0 + 1.0)
 
 
 @dataclass
@@ -141,19 +141,15 @@ def _report(check, M, space, **kw):
 # contact sets
 # ---------------------------------------------------------------------------
 
-def _surface_values(M, bus, q):
-    """B_v(embed(q)) for parameter rows q (D, n) paired with the D
-    directions of `bus`; a row that leaves the chart or the space gets
-    -inf (a stack that raises InputDomainError is halved until the
-    offending rows stand alone)."""
-    try:
-        return bus.value(M.embed(q))
-    except InputDomainError:
-        if len(q) == 1:
-            return np.array([-math.inf])
-        h = len(q) // 2
-        return np.concatenate([_surface_values(M, bus[:h], q[:h]),
-                               _surface_values(M, bus[h:], q[h:])])
+def _surface_values(M, bus, dirs, q):
+    """B_v(embed(q)) for parameter rows q (D, n), row i paired with the
+    direction dirs[i] of `bus`: one embed of the rows `M.in_chart`, and
+    -inf for the rows that leave the chart."""
+    ok = M.in_chart(q)
+    vals = np.full(len(q), -math.inf)
+    if ok.any():
+        vals[ok] = bus[dirs[ok]].value(M.embed(q[ok]))
+    return vals
 
 
 def _line_max(g, t_max, g0, slope):
@@ -190,6 +186,13 @@ def _line_max(g, t_max, g0, slope):
     return s, val
 
 
+def _line_values(M, bus, rows, start, dp, i, t):
+    """B_v at start + t dp on ascending rows i: `_ascend_max`'s lines."""
+    q = start[i, None] + t[..., None] * dp[i, None]
+    return _surface_values(M, bus, np.repeat(rows[i], t.shape[1]),
+                           q.reshape(-1, M.n)).reshape(t.shape)
+
+
 def _ascend_max(M, bus: BusemannFunction, p, best):
     """Natural-gradient ascent of B_v(embed(params)) for every direction of
     `bus` in lockstep, from parameters p (D, n) where B_v is best (D,).
@@ -203,51 +206,41 @@ def _ascend_max(M, bus: BusemannFunction, p, best):
     moves no parameter by more than ASCENT_MAX_MOVE: from a coarse grid
     node a longer step makes B_v multimodal along the line, and the search
     would settle on a lower mode.  Returns (values, params, chart), chart
-    the stacked chart at params, the one chart of each contact.
+    the stacked chart at params, the one chart of each contact: the chart
+    of the start, with the rows that moved overwritten by each step.
     """
     space = M.space
     p, best = np.array(p, dtype=float), np.array(best, dtype=float)
-    stopped, charts = [], []             # row indices and charts that stopped
-    rows = np.arange(len(p))             # the directions still ascending
-    chart = M.chart(p)
-
-    def leave(keep):
-        # directions rows[~keep] stop with their current chart
-        nonlocal rows, chart
-        stopped.append(rows[~keep])
-        charts.append({k: v[~keep] for k, v in chart.items()})
-        rows, chart = rows[keep], {k: v[keep] for k, v in chart.items()}
-
+    chart = M.chart(p)                   # every direction's current chart
+    rows, at = np.arange(len(p)), chart  # directions still ascending, charts
     for _ in range(ASCENT_STEPS):
-        grad = space.tangent_to_coords(bus[rows].gradient(chart["x"]))
-        rhs = (chart["tangents"] @ grad[..., None])[..., 0]
-        dp = np.linalg.solve(chart["gram"], rhs[..., None])[..., 0]
+        grad = space.tangent_to_coords(bus[rows].gradient(at["x"]))
+        rhs = (at["tangents"] @ grad[..., None])[..., 0]
+        dp = np.linalg.solve(at["gram"], rhs[..., None])[..., 0]
         gnorm = np.sqrt(np.maximum(np.vecdot(rhs, dp), 0.0))
         go = ~(gnorm < 1e-11)
-        leave(go)
+        rows, dp = rows[go], dp[go]
         if not len(rows):
             break
-        dp = dp[go]
         # ascent step ~ inverse curvature of B on M, capped in parameter space
         t_max = np.minimum(4.0, ASCENT_MAX_MOVE / np.max(np.abs(dp), axis=-1))
         start = p[rows]
-
-        def g(i, t):         # B_v at start + t dp on ascending rows i
-            q = start[i, None] + t[..., None] * dp[i, None]
-            return _surface_values(M, bus[np.repeat(rows[i], t.shape[1])],
-                                   q.reshape(-1, M.n)).reshape(t.shape)
-        s, val = _line_max(g, t_max, best[rows], gnorm[go] ** 2)
+        s, val = _line_max(partial(_line_values, M, bus, rows, start, dp),
+                           t_max, best[rows], gnorm[go] ** 2)
         up = ~(val <= best[rows])
-        leave(up)
+        rows = rows[up]
         if not len(rows):
             break
         best[rows] = val[up]
         p[rows] = start[up] + s[up, None] * dp[up]
-        chart = M.chart(p[rows])
-    leave(np.zeros(len(rows), dtype=bool))
-    order = np.argsort(np.concatenate(stopped))
-    return best, p, {k: _join([c[k] for c in charts])[order]
-                     for k in charts[0]}
+        at = M.chart(p[rows])
+        for k, v in at.items():
+            if k == "x":
+                for part, new in zip(chart["x"].parts, v.parts):
+                    part[rows] = new
+            else:
+                chart[k][rows] = v
+    return best, p, chart
 
 
 def _grid_argmax(M, bus: BusemannFunction, count: int):
@@ -459,15 +452,14 @@ def willmore_check(M, o: Point) -> VerificationReport:
 
 
 def isoperimetric_check(space: SymmetricSpace, center: Point, r: float,
-                        grid_counts=None, radial_nodes: int = 24
-                        ) -> VerificationReport:
+                        grid_counts=None) -> VerificationReport:
     """area(dE)^{n+1}/vol(E)^n on the geodesic ball of radius r, D = 2r."""
     t0 = time.perf_counter()
     n = space.total_dim - 1
     kappa = space.curvature_lower_bound
     M = geodesic_sphere(space, center, r, grid_counts)
     area = M.integrate("area")
-    vol = ball_volume(space, center, r, radial_nodes=radial_nodes,
+    vol = ball_volume(space, center, r,
                       grid_counts=M.grid_counts if grid_counts else None)
     d = 2.0 * r
     lhs = area ** (n + 1) / vol ** n
@@ -503,7 +495,7 @@ def hessian_oracle_check(space: SymmetricSpace, o: Point, samples: int = 50,
         x = space.random_point(o, rng, radius)
         bus = BusemannFunction(space, o, v)
         closed = bus.hessian(x).a
-        oracle = bus.truncated_oracle(x, "hessian").a
+        oracle = bus.truncated_hessian(x).a
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     tol = 1e-3
     return _report(

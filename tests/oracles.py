@@ -12,6 +12,9 @@ closed-form coordinate maps, the Riemannian logarithm, sectional
 curvatures, and the asymptotic-ray translation of directions (with the
 mpmath branch of the SPD ray logarithm).
 
+Busemann values and gradients from truncated distances alone, on the
+Richardson ladder of `horocurv.busemann.BusemannFunction.truncated_hessian`.
+
 Sign convention: the curvature tensor of a noncompact-type symmetric
 space at the base point is R(X,Y)Z = -[[X,Y],Z] for X,Y,Z in p, so
 sectional curvatures computed by `algebraic_sectional_curvature` are
@@ -26,9 +29,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from horocurv.busemann import _WEIGHT_EPS
+from horocurv.busemann import _WEIGHT_EPS, H_FD, T_MAX
 from horocurv.errors import (ConfigError, DegeneratePlaneError,
-                             InputDomainError, TranslationFailure)
+                             InputDomainError, OracleFailure,
+                             TranslationFailure)
 from horocurv.model_spaces import Tangent
 from horocurv.numeric_kernel import (_as_sym_array, richardson_limit,
                                      spd_inv_sqrt)
@@ -437,10 +441,51 @@ def translate_direction_ray(space, o, x, u, tol: float = TOL_RAY,
         w = Tangent(space, o, parts)
         return space.tangent_to_coords(w) / space.norm(w)
 
-    res = richardson_limit(v_at, tol, cap, 8.0)
+    res = richardson_limit(v_at, tol, cap)
     if res.converged:
         v = space.coords_to_tangent(o, res.limit)
         return space.scale(v, 1.0 / space.norm(v))
-    raise TranslationFailure(
-        "asymptotic-ray translation did not converge",
-        last_iterates=(res.limit, res.last_estimate))
+    raise TranslationFailure("asymptotic-ray translation did not converge")
+
+
+# ---------------------------------------------------------------------------
+# truncated Busemann values and gradients
+# ---------------------------------------------------------------------------
+
+TOL_TRUNC = 1e-8
+TOL_ORACLE_GRAD = 1e-7
+
+
+def _ladder_limit(estimate_at, tol, label):
+    """Limit of estimate_at(T) as T -> infinity (`richardson_limit`)."""
+    res = richardson_limit(estimate_at, tol, T_MAX)
+    if res.converged:
+        return res.limit
+    raise OracleFailure(
+        f"truncated Busemann {label} did not converge",
+        diagnostics={"best_column_diff": res.best_diff, "t_max": T_MAX,
+                     "tol": tol})
+
+
+def truncated_value(bus, x, tol: float = TOL_TRUNC) -> float:
+    """B_v(x) from truncated distances only (`truncated_value_at`)."""
+    return float(_ladder_limit(lambda t: bus.truncated_value_at(x, t), tol,
+                               "value"))
+
+
+def truncated_gradient(bus, x) -> Tangent:
+    """grad B_v(x) from truncated distances only: central differences over
+    +-h e_i, every stencil node at the same truncation T, the whole
+    gradient estimate extrapolated in 1/T (as `truncated_hessian`)."""
+    space = bus.space
+    dim = space.total_dim
+    e = H_FD * np.eye(dim)
+    nodes = space.exp_map(x, space.coords_to_tangent(
+        x, np.concatenate([e, -e])))
+
+    def grad_at(t):
+        f = bus.truncated_value_at(nodes, t)
+        return (f[:dim] - f[dim:]) / (2.0 * H_FD)
+
+    return space.coords_to_tangent(
+        x, _ladder_limit(grad_at, TOL_ORACLE_GRAD, "gradient"))

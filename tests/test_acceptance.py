@@ -77,7 +77,7 @@ def test_c01_euclidean_baseline():
     o = space.origin()
     area = M.integrate("area")
     tc = M.integrate("total_curvature")
-    vol = ball_volume(space, o, 1.0, radial_nodes=8, grid_counts=[16, 32])
+    vol = ball_volume(space, o, 1.0, grid_counts=[16, 32])
     ratio = area ** 3 / vol ** 2
     elapsed = time.perf_counter() - t0
     assert abs(area / (4 * math.pi) - 1) < 1e-3
@@ -238,7 +238,7 @@ def test_c08_willmore_umbilic_equality():
 def test_c09_isoperimetric(spec, r, record_property):
     space = parse_space(spec)
     rep = vh.isoperimetric_check(space, space.origin(), r,
-                                 grid_counts=[24, 48], radial_nodes=16)
+                                 grid_counts=[24, 48])
     record_property("margin", rep.margin)
     assert rep.passed
     assert rep.margin >= -1e-6 * rep.rhs

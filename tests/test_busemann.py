@@ -9,7 +9,8 @@ from horocurv.busemann import BusemannFunction
 from horocurv.errors import InputDomainError
 from horocurv.model_spaces import Point, Tangent, parse_space
 from horocurv.numeric_kernel import psd_sqrt, spd_inv_sqrt
-from oracles import distance, random_tangent, sl
+from oracles import (distance, random_tangent, sl, truncated_gradient,
+                     truncated_value)
 
 SPD_SPECS = ["spd:2", "spd:3", "spd:4,lambda=2.5"]
 
@@ -87,14 +88,14 @@ def test_convex_along_geodesics(spec):
 def test_value_against_truncation_oracle(spec):
     space, o, v, x = _random_setup(spec, 6)
     bus = BusemannFunction(space, o, v)
-    assert abs(bus.value(x) - bus.truncated_value(x)) < 1e-7
+    assert abs(bus.value(x) - truncated_value(bus, x)) < 1e-7
 
 
 def test_value_oracle_mixed_product():
     # looser tolerance on mixed products: slow exponential modes, see ledger
     space, o, v, x = _random_setup("euclidean:1xhyperbolic:2,kappa=0.8xspd:2", 7)
     bus = BusemannFunction(space, o, v)
-    assert abs(bus.value(x) - bus.truncated_value(x, tol=1e-6)) < 1e-5
+    assert abs(bus.value(x) - truncated_value(bus, x, tol=1e-6)) < 1e-5
 
 
 @pytest.mark.parametrize("spec", ["euclidean:3", "hyperbolic:3,kappa=1.5",
@@ -103,7 +104,7 @@ def test_gradient_against_oracle(spec):
     space, o, v, x = _random_setup(spec, 8)
     bus = BusemannFunction(space, o, v)
     grad = bus.gradient(x)
-    oracle = bus.truncated_oracle(x, "gradient")
+    oracle = truncated_gradient(bus, x)
     diff = space.add(grad, space.scale(oracle, -1.0))
     assert space.norm(diff) < 1e-6
 
@@ -113,7 +114,7 @@ def test_hessian_against_oracle(spec):
     space, o, v, x = _random_setup(spec, 9)
     bus = BusemannFunction(space, o, v)
     closed = bus.hessian(x).a
-    oracle = bus.truncated_oracle(x, "hessian").a
+    oracle = bus.truncated_hessian(x).a
     assert np.max(np.abs(closed - oracle)) < 1e-3
 
 
@@ -267,9 +268,9 @@ def test_spd_tied_direction_against_oracle():
     assert f.bus_data(o.parts[0], v.parts[0])[4][1] == 0.0
     bus = BusemannFunction(space, o, v)
     x = space.random_point(o, np.random.default_rng(19), 1.5)
-    assert abs(bus.value(x) - bus.truncated_value(x)) < 1e-7
+    assert abs(bus.value(x) - truncated_value(bus, x)) < 1e-7
     diff = space.add(bus.gradient(x),
-                     space.scale(bus.truncated_oracle(x, "gradient"), -1.0))
+                     space.scale(truncated_gradient(bus, x), -1.0))
     assert space.norm(diff) < 1e-6
 
 

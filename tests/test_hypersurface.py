@@ -156,8 +156,8 @@ def test_ball_volume_closed_forms(e3, h3):
 
 
 def test_ball_volume_monotone(e3):
-    vols = [ball_volume(e3, e3.origin(), r, radial_nodes=12,
-                        grid_counts=[12, 24]) for r in (0.5, 1.0, 1.5)]
+    vols = [ball_volume(e3, e3.origin(), r, grid_counts=[12, 24])
+            for r in (0.5, 1.0, 1.5)]
     assert vols[0] < vols[1] < vols[2]
 
 
@@ -273,6 +273,23 @@ def test_ball_volume_one_chart_per_block(h3, block, calls, monkeypatch):
                         lambda self, *a, **k: seen.append(1) or chart(self, *a, **k))
     ball_volume(h3, h3.origin(), 0.5, grid_counts=[4, 8])
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("spec,grid", [("euclidean:3", [4, 8]),
+                                       ("hyperbolic:5,kappa=1", [3] * 4)])
+def test_in_chart(spec, grid):
+    # a row is in the chart iff it is finite and, for n = 2, |u| < 1; the
+    # evaluators reject a stack with any row outside it
+    space = parse_space(spec)
+    M = geodesic_sphere(space, space.origin(), 1.0, grid)
+    q = np.repeat(M.params[:1], 6, axis=0)
+    q[1, 0], q[2, 0], q[3, -1], q[4, 0] = 1.0, -1.5, math.nan, math.inf
+    expected = [True, M.n > 2, M.n > 2, False, False, True]
+    assert M.in_chart(q).tolist() == expected
+    assert M.in_chart(M.params).all() and M.in_chart(q[0])
+    with pytest.raises(InputDomainError):
+        M.embed(q)
+    M.embed(q[np.array(expected)])
 
 
 def test_radius_profile_stack():
