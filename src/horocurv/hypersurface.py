@@ -1,21 +1,25 @@
 """Closed starshaped hypersurfaces as parametrized quadrature meshes.
 
-A surface is the image of the unit parameter sphere S^n under
-theta -> exp_center(r(theta) * V(theta)), where V(theta) is the frame
-direction at the center.  Charts:
+A surface is the image of the unit sphere S^n under
+e -> exp_center(r(e) e), where e is a unit vector of frame coordinates at
+the center.  The parameters are the unit vectors e themselves.  The chart
+about e is xi -> normalize(e + B(e) xi), with B(e) an orthonormal basis of
+e^perp (`_basis`, from a Householder reflection), so it has no pole, and
+its stencil points and ascent steps stay on the sphere.
+
+Grid nodes are placed on angle axes and converted to unit vectors once:
 
 * n = 2: (u, phi) with u = cos(polar angle) on Gauss-Legendre nodes and
   uniform longitude (grid spec "LATxLON");
 * n >= 3: hyperspherical angles on Gauss-Legendre x uniform azimuth
   (grid spec "K^N").
 
-Poles are never grid nodes (interior Gauss-Legendre nodes, half-offset
-azimuth).  Area weights are parameter quadrature weights times the
-numerically evaluated chart Jacobian, so the same code integrates over
-round and perturbed surfaces alike.
+Area weights are the quadrature weights times the closed-form angle
+density times the numerically evaluated chart Jacobian, so the same code
+integrates over round and perturbed surfaces alike.
 
-Evaluation is batched: `chart` takes a single parameter point (n,) or a
-stack (..., n) and returns stacked points, tangent frame coordinates, Gram
+Evaluation is batched: `chart` takes a single unit direction (n+1,) or a
+stack (..., n+1) and returns stacked points, tangent frame coordinates, Gram
 matrices, Jacobians and unit normals, through the stack-capable factor
 `exp`, `dexp` and coordinate maps.  The shape operators of all grid nodes
 come from two such calls per block of nodes, one at the nodes and one at
@@ -38,7 +42,6 @@ from .errors import (ChartDegeneracyError, ConfigError, InputDomainError,
 from .model_spaces import Point, SymmetricSpace, Tangent, _fmt
 
 H_SHAPE_REL = 1e-4
-_GRAM_DET_TOL = 1e-12
 _BLOCK = 256                   # grid nodes per batched chart/forms evaluation
 _DIAM_SUBSAMPLE = 400          # grid nodes in the dense diameter search
 _DIAM_BLOCK_PAIRS = 1 << 14    # node pairs per distance call of that search
@@ -48,46 +51,32 @@ _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 # ---------------------------------------------------------------------------
-# parameter-sphere directions
+# the chart on unit directions
 # ---------------------------------------------------------------------------
 
-def _dir_u_phi(params):
-    """n = 2 chart: params (..., 2) = (u, phi); returns (e, de/dparams)."""
-    p = np.asarray(params, dtype=float)
-    u, phi = p[..., 0], p[..., 1]
-    s = np.sqrt(1.0 - u * u)
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    e = np.stack([u, s * cphi, s * sphi], axis=-1)
-    de = np.zeros(p.shape[:-1] + (3, 2))
-    de[..., 0, 0] = 1.0
-    de[..., 1, 0] = -u / s * cphi
-    de[..., 2, 0] = -u / s * sphi
-    de[..., 1, 1] = -s * sphi
-    de[..., 2, 1] = s * cphi
-    return e, de
+def _basis(e):
+    """B(e) (..., n+1, n): an orthonormal basis of e^perp, e unit (..., n+1).
+
+    The columns other than k of the Householder reflection that swaps the
+    axis k of e's largest |coordinate| with -sign(e_k) e, built from one
+    outer product of its vector w = e + sign(e_k) a_k (|w|^2 >= 2).
+    """
+    dim = e.shape[-1]
+    k = np.argmax(np.abs(e), axis=-1)[..., None]
+    ek = np.take_along_axis(e, k, axis=-1)
+    w = e + np.where(ek < 0.0, -1.0, 1.0) * (np.arange(dim) == k)
+    keep = np.arange(dim - 1) + (np.arange(dim - 1) >= k)
+    wk = np.take_along_axis(w, keep, axis=-1) / -(1.0 + np.abs(ek))
+    b = w[..., :, None] * wk[..., None, :]
+    b += np.arange(dim)[:, None] == keep[..., None, :]
+    return b
 
 
-def _dir_angles(params):
-    """n >= 3 chart: hyperspherical angles (..., n); returns (e, de)."""
-    a = np.asarray(params, dtype=float)
-    n = a.shape[-1]
-    sin, cos = np.sin(a), np.cos(a)
-    ones = np.ones(a.shape[:-1] + (1,))
-    prefix = np.concatenate([ones, np.cumprod(sin, axis=-1)], axis=-1)
-    e = np.empty(a.shape[:-1] + (n + 1,))
-    e[..., :n] = prefix[..., :n] * cos
-    e[..., n] = prefix[..., n]
-    de = np.zeros(a.shape[:-1] + (n + 1, n))
-    for b in range(n):
-        sin_b = sin.copy()
-        sin_b[..., b] = 1.0
-        pref_b = np.concatenate([ones, np.cumprod(sin_b, axis=-1)], axis=-1)
-        # e_i with the sin(a_b) factor replaced by cos(a_b), for i > b
-        for i in range(b + 1, n):
-            de[..., i, b] = pref_b[..., i] * cos[..., b] * cos[..., i]
-        de[..., n, b] = pref_b[..., n] * cos[..., b]
-        de[..., b, b] = -prefix[..., b] * sin[..., b]
-    return e, de
+def _step(e, xi):
+    """normalize(e + B(e) xi): the unit direction at chart coordinates xi
+    (..., n) about the unit directions e (..., n+1)."""
+    q = e + (_basis(e) @ xi[..., None])[..., 0]
+    return q / np.sqrt(np.sum(q * q, axis=-1))[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -119,35 +108,38 @@ def default_grid(n: int):
 
 
 def build_param_grid(n: int, counts):
-    """Tensor quadrature grid on the parameter sphere.
+    """Tensor quadrature grid on the unit sphere S^n.
 
-    Returns (params (N, n), weights (N,), dir_fn) with weights for the
-    plain parameter measure (the sphere measure enters via the chart
-    Jacobian during integration).
+    The nodes are placed on angle axes: (u, phi) for n = 2, u = cos(polar
+    angle) on Gauss-Legendre nodes, and hyperspherical angles on
+    Gauss-Legendre nodes for n >= 3, each with a uniform azimuth last.
+    Returns (params (N, n+1), weights (N,)): the nodes as unit directions,
+    and the quadrature weights times the angle density of the sphere
+    measure (1 for (u, phi), prod_k sin^{n-1-k} a_k for the angles), so
+    that weights times the chart Jacobian are area weights.
     """
     if len(counts) != n:
         raise ConfigError("grid axis count does not match sphere dimension")
-    axes_nodes: list = []
-    axes_weights: list = []
+    axes = []                          # per axis: cos, sin and weight
     if n == 2:
         u, wu = np.polynomial.legendre.leggauss(counts[0])
-        axes_nodes.append(u)
-        axes_weights.append(wu)
-        dir_fn = _dir_u_phi
+        axes.append((u, np.sqrt(1.0 - u * u), wu))
     else:
-        for k in counts[:-1]:
+        for i, k in enumerate(counts[:-1]):
             t, wt = np.polynomial.legendre.leggauss(k)
-            axes_nodes.append(0.5 * math.pi * (t + 1.0))
-            axes_weights.append(0.5 * math.pi * wt)
-        dir_fn = _dir_angles
+            a = 0.5 * math.pi * (t + 1.0)
+            axes.append((np.cos(a), np.sin(a),
+                         0.5 * math.pi * wt * np.sin(a) ** (n - 1 - i)))
     k = counts[-1]
-    axes_nodes.append(2.0 * math.pi * (np.arange(k) + 0.5) / k)
-    axes_weights.append(np.full(k, 2.0 * math.pi / k))
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    params = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*axes_weights, indexing="ij")
-    weights = np.prod(np.stack([w.ravel() for w in wmesh], axis=-1), axis=-1)
-    return params, weights, dir_fn
+    phi = 2.0 * math.pi * (np.arange(k) + 0.5) / k
+    axes.append((np.cos(phi), np.sin(phi), np.full(k, 2.0 * math.pi / k)))
+    cos, sin, w = (np.stack([m.ravel() for m in np.meshgrid(*c, indexing="ij")],
+                            axis=-1) for c in zip(*axes))
+    # e_i = sin a_0 ... sin a_{i-1} cos a_i, and the last e_n = prod sin a
+    prefix = np.concatenate([np.ones((len(w), 1)), np.cumprod(sin, axis=-1)],
+                            axis=-1)
+    params = np.concatenate([prefix[:, :n] * cos, prefix[:, n:]], axis=-1)
+    return params, np.prod(w, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +149,10 @@ def build_param_grid(n: int, counts):
 class RadiusProfile:
     """r(direction) = base * (1 + amp * profile), profile from the unit dir.
 
-    Modes: "coord" uses the first sphere coordinate; "latitude" uses
-    sin(latitude), which for our charts is the same first coordinate
-    (cos of the polar angle).  amp = 0 gives a geodesic sphere.  base may
-    also be an array, one radius per node of the parameter stack.
+    Modes: "coord" uses the first coordinate of the unit direction;
+    "latitude" uses sin(latitude) about the first axis, the same first
+    coordinate (cos of the polar angle).  amp = 0 gives a geodesic sphere.
+    base may also be an array, one radius per node of the parameter stack.
     """
 
     def __init__(self, base, mode: str = "coord", amp: float = 0.0):
@@ -174,7 +166,8 @@ class RadiusProfile:
         self.mode, self.amp = mode, float(amp)
 
     def __call__(self, e, de):
-        """(r, dr/dparams) for directions e (..., n+1) and jacobians de."""
+        """(r, dr) for unit directions e (..., n+1) and their chart
+        tangents de (..., n+1, n)."""
         r = self.base * (1.0 + self.amp * e[..., 0])
         dr = np.expand_dims(self.base * self.amp, -1) * de[..., 0, :]
         return r, dr
@@ -267,8 +260,8 @@ class Hypersurface:
             raise ConfigError("hypersurfaces need ambient dimension >= 3")
         counts = grid_counts if grid_counts is not None else default_grid(self.n)
         self.grid_counts = list(counts)
-        self.params, self.param_weights, self._dir_fn = build_param_grid(
-            self.n, self.grid_counts)
+        self.params, self.param_weights = build_param_grid(self.n,
+                                                           self.grid_counts)
         self.size = len(self.params)
         self._chart_cache = None
         self._forms_cache = None
@@ -282,44 +275,37 @@ class Hypersurface:
             return f"{self.grid_counts[0]}x{self.grid_counts[1]}"
         return f"{self.grid_counts[0]}^{self.n}"
 
-    def in_chart(self, params) -> np.ndarray:
-        """Per parameter row of params (..., n): finite and, on the n = 2
-        chart, with latitude parameter |u| < 1."""
-        p = np.asarray(params, dtype=float)
-        ok = np.all(np.isfinite(p), axis=-1)
-        return ok & (np.abs(p[..., 0]) < 1.0) if self.n == 2 else ok
-
     def _evaluate(self, params):
-        """The surface point at params (n,) or (..., n): (x, v, e, de, r, dr).
+        """The surface point at unit directions e = params (n+1,) or
+        (..., n+1): (x, v, e, de, r, dr).
 
-        x = exp_center(v) with v = r(e) e in center-frame coordinates, e the
-        unit direction and r the radius profile, with their parameter
-        derivatives de, dr.  The one evaluator behind embed, points_stack
-        and chart; for a params stack the parts of x are factor stacks.
-        Raises InputDomainError if a row is not `in_chart`.
+        x = exp_center(v) with v = r(e) e in center-frame coordinates, r the
+        radius profile, de = B(e) the chart tangents of the unit sphere at e
+        and dr the derivative of r along them.  The one evaluator behind
+        embed, points_stack and chart; for a params stack the parts of x
+        are factor stacks.
         """
-        params = np.asarray(params, dtype=float)
-        if not np.all(self.in_chart(params)):
-            raise InputDomainError("parameters outside the chart (non-finite,"
-                                   " or latitude out of (-1, 1))")
-        e, de = self._dir_fn(params)
+        e = np.asarray(params, dtype=float)
+        de = _basis(e)
         r, dr = self.profile(e, de)
         v = self.space.coords_to_tangent(self.center, r[..., None] * e)
         return self.space.exp_map(self.center, v), v, e, de, r, dr
 
     def chart(self, params, orient: bool = True):
-        """Chart data at parameters (n,) or at a stack (..., n).
+        """Chart data at unit directions (n+1,) or at a stack (..., n+1).
 
         Returns a dict whose arrays carry the leading axes of params:
         x (Point of factor stacks), tangents (..., n, n+1) (frame
-        coordinates at x of the parameter derivatives), gram (..., n, n),
+        coordinates at x of the derivatives along the columns of B(e), the
+        chart's orthonormal basis of e^perp), gram (..., n, n),
         jacobian (...) (sqrt Gram det) and nu (..., n+1) (frame coordinates
         of the unit normal).  The frame at x is orthonormal, so inner
         products of tangents are dot products of their coordinates.  With
         orient=True (default) nu points along the outgoing radial
         direction; orient=False leaves the sign arbitrary (cheaper, for
         finite differences that fix the sign against a reference normal).
-        Raises ChartDegeneracyError if the frame is degenerate at any node.
+        Raises ChartDegeneracyError if the Gram determinant is not positive
+        (or NaN) at any node: a radius that underflows.
         """
         x, v, e, de, r, dr = self._evaluate(params)
         space, n = self.space, self.n
@@ -338,13 +324,9 @@ class Hypersurface:
             det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
         else:
             det = np.linalg.det(gram)
-        # degeneracy is about linear dependence, so compare against the
-        # product of the tangent norms (near-pole Jacobians are honestly tiny)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = det / np.prod(np.diagonal(gram, axis1=-2, axis2=-1), axis=-1)
-        if np.any(~(rel >= _GRAM_DET_TOL)):     # NaN (0/0 Gram) fails too
+        if np.any(~(det > 0.0)):                # NaN fails too
             raise ChartDegeneracyError(
-                f"chart frame degenerate (relative Gram det {np.min(rel):.3e})")
+                f"chart frame degenerate (Gram det {np.min(det):.3e})")
         # unit normal: orthogonal complement of the chart tangents
         if n == 2:                      # cross product of the two tangents
             a, b = tmat[..., 0, :], tmat[..., 1, :]
@@ -382,23 +364,25 @@ class Hypersurface:
     # -- fundamental forms ------------------------------------------------------
 
     def _forms(self, params, base):
-        """(data, stencil) at params (..., n) from their oriented chart.
+        """(data, stencil) at unit directions (..., n+1) from their oriented
+        chart.
 
         The orthonormal basis is the Gram-Schmidt basis of the chart
         tangents in order, from the Cholesky factor L of their Gram matrix
         (onb = L^-1 tangents).  Column i of A is the central difference of
-        the unit normal along onb_i over the stencil params +- h c_i
-        (c_i the rows of L^-1), each stencil normal parallel-transported
-        back to x and its sign fixed against the base normal.  The stencil
-        {"x", "nu", "h"} holds those points and sign-fixed normals, leading
-        axes (..., n, 2) for leg i and step +-h.
+        the unit normal along onb_i over the stencil directions
+        normalize(e +- h B(e) c_i) (c_i the rows of L^-1), each stencil
+        normal parallel-transported back to x and its sign fixed against
+        the base normal.  The stencil {"x", "nu", "h"} holds those points
+        and sign-fixed normals, leading axes (..., n, 2) for leg i and step
+        +-h.
         """
         space = self.space
         coeffs = np.linalg.inv(np.linalg.cholesky(base["gram"]))
         onb = coeffs @ base["tangents"]
         h = H_SHAPE_REL * self.profile.base
         steps = h * coeffs[..., :, None, :] * np.array([1.0, -1.0])[:, None]
-        st = self.chart(params[..., None, None, :] + steps, orient=False)
+        st = self.chart(_step(params[..., None, None, :], steps), orient=False)
         moved = space.tangent_to_coords(space.parallel_transport(
             st["x"], Point(space, space.insert_axes(base["x"].parts, 2)),
             space.coords_to_tangent(st["x"], st["nu"])))
@@ -428,7 +412,7 @@ class Hypersurface:
         return self._forms_cache
 
     def fundamental_forms(self, params, chart):
-        """(data, stencil) at off-grid parameters (..., n) from their chart
+        """(data, stencil) at off-grid directions (..., n+1) from their chart
         `chart(params)`: the stacked fundamental data (area weight 0) and the
         stencil of `_forms`, whose leg i steps along onb_coords[i]."""
         return self._forms(np.asarray(params, dtype=float), chart)

@@ -563,8 +563,7 @@ class SPDFactor:
         order = np.argsort(dvals, axis=-1)[..., ::-1]
         dvals = np.take_along_axis(dvals, order, axis=-1)[..., None, :]
         k = np.take_along_axis(k, order[..., None, :], axis=-1)
-        q, r = np.linalg.qr(x0s @ k)
-        q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+        q = np.linalg.qr(x0s @ k)[0]      # column signs cancel in q D q^T
         v0 = (q * dvals) @ np.swapaxes(q, -1, -2)
         return osq @ v0 @ osq
 

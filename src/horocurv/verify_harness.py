@@ -40,7 +40,7 @@ from .busemann import BusemannFunction
 from .errors import InputDomainError, TranslationFailure
 from .gauss_map import (TOL_GAUSS, gauss_differential, random_samples,
                         translate_direction)
-from .hypersurface import ball_volume, geodesic_sphere
+from .hypersurface import _step, ball_volume, geodesic_sphere
 from .lie_structure import ad_matrix, basis, p_dim
 from .model_spaces import Point, SymmetricSpace, Tangent
 from .numeric_kernel import op_norm, psd_sqrt
@@ -54,11 +54,10 @@ INEQ_TOL = 1e-6
 LIPSCHITZ_SLACK = 1e-4
 SWEEP_COUNT = 500
 ASCENT_STEPS = 40
-ASCENT_MAX_MOVE = 0.5          # largest parameter move (rad) per line search
+ASCENT_MAX_MOVE = 0.5          # largest chart coordinate move per line search
 STENCIL_EXCLUDED_MAX = 0.1     # share of sweep contact nodes
 GRID_BLOCK_PAIRS = 1 << 16     # direction-node pairs per grid argmax block
 LINE_POINTS = 8                # uniform abscissae per line search
-LINE_SHRINKS = 5               # fan shrinks of a row whose first point is off
 
 
 def sphere_area(n: int) -> float:
@@ -78,7 +77,7 @@ class ContactSweep:
 
     v: Tangent                    # (D,) unit directions at o
     c_v: np.ndarray               # max of B_v over M, off the grid
-    params: np.ndarray            # (D, n) chart parameters of the maximizers
+    params: np.ndarray            # (D, n+1) unit directions of the maximizers
     s_residual: np.ndarray        # |grad B_v(x) - nu(x)|
     eig_min_support: np.ndarray   # min eigenvalue of A - Hess B_v on T_xM
     eig_min_hessian: np.ndarray   # min eigenvalue of Hess B_v (ambient)
@@ -142,42 +141,30 @@ def _report(check, M, space, **kw):
 # ---------------------------------------------------------------------------
 
 def _surface_values(M, bus, dirs, q):
-    """B_v(embed(q)) for parameter rows q (D, n), row i paired with the
-    direction dirs[i] of `bus`: one embed of the rows `M.in_chart`, and
-    -inf for the rows that leave the chart."""
-    ok = M.in_chart(q)
-    vals = np.full(len(q), -math.inf)
-    if ok.any():
-        vals[ok] = bus[dirs[ok]].value(M.embed(q[ok]))
-    return vals
+    """B_v(embed(q)) for unit directions q (D, n+1), row i paired with the
+    direction dirs[i] of `bus`, in one embed."""
+    return bus[dirs].value(M.embed(q))
 
 
 def _line_max(g, t_max, g0, slope):
     """Maximizers of line functions g_i on (0, t_max_i], a row each, from two
     stacked calls of g: LINE_POINTS abscissae j*h, then the vertex of the
     parabola through the best one and its neighbours (through g0 = g(0),
-    g'(0) = slope and g(h) when t = 0 is best).  g(i, t) maps abscissae t
-    (len(i), m) of rows i to values, -inf off the chart; a row whose first
-    abscissa is off the chart and gains nothing shrinks h by LINE_POINTS,
-    at most LINE_SHRINKS times.  Returns (s, g(s)), (0, g0) if none gains.
+    g'(0) = slope and g(h) when t = 0 is best; none when the last abscissa
+    is best).  g(i, t) maps abscissae t (len(i), m) of rows i to values.
+    Returns (s, g(s)), (0, g0) if none gains.
     """
     j = np.arange(1, LINE_POINTS + 1)
     h = t_max / LINE_POINTS
-    vals = g(np.arange(len(h)), h[:, None] * j)
-    for _ in range(LINE_SHRINKS):
-        lost = np.flatnonzero(np.isneginf(vals[:, 0]) & ~(vals.max(-1) > g0))
-        if not len(lost):
-            break
-        h[lost] /= LINE_POINTS
-        vals[lost] = g(lost, h[lost, None] * j)
-    ext = np.column_stack([g0, vals, np.full(len(h), -math.inf)])
-    j = np.argmax(ext[:, :-1], axis=-1)                 # g(j h) is the best
-    lo, mid, hi = np.take_along_axis(ext, j[:, None] + [-1, 0, 1], axis=1).T
+    ext = np.column_stack([g0, g(np.arange(len(h)), h[:, None] * j)])
+    j = np.argmax(ext, axis=-1)                         # g(j h) is the best
+    lo, mid, hi = np.take_along_axis(
+        ext, np.minimum(j[:, None] + [-1, 0, 1], LINE_POINTS), axis=1).T
     with np.errstate(invalid="ignore", divide="ignore"):
         t = np.where(j > 0, h * (j + 0.5 * (lo - hi) / (lo - 2.0 * mid + hi)),
                      slope * h * h / (2.0 * (slope * h + g0 - hi)))
-    # NaN or 0 where a neighbour is off the chart or the line is flat
-    vertex = np.flatnonzero(np.isfinite(t) & (t > 0.0))
+    # NaN or 0 where the line is flat
+    vertex = np.flatnonzero(np.isfinite(t) & (t > 0.0) & (j < LINE_POINTS))
     s, val = j * h, mid
     if len(vertex):
         top = g(vertex, t[vertex, None])[:, 0]
@@ -187,27 +174,31 @@ def _line_max(g, t_max, g0, slope):
 
 
 def _line_values(M, bus, rows, start, dp, i, t):
-    """B_v at start + t dp on ascending rows i: `_ascend_max`'s lines."""
-    q = start[i, None] + t[..., None] * dp[i, None]
+    """B_v at normalize(start + t B(start) dp) on ascending rows i:
+    `_ascend_max`'s lines."""
+    q = _step(start[i, None], t[..., None] * dp[i, None])
     return _surface_values(M, bus, np.repeat(rows[i], t.shape[1]),
-                           q.reshape(-1, M.n)).reshape(t.shape)
+                           q.reshape(-1, M.n + 1)).reshape(t.shape)
 
 
 def _ascend_max(M, bus: BusemannFunction, p, best):
     """Natural-gradient ascent of B_v(embed(params)) for every direction of
-    `bus` in lockstep, from parameters p (D, n) where B_v is best (D,).
+    `bus` in lockstep, from unit directions p (D, n+1) where B_v is best
+    (D,).
 
     Each step follows the chart projection of grad B_v (steepest ascent in
-    the surface metric, which is coordinate-free and conditions well near
-    chart poles) and a line search (`_line_max`): per step one stacked
-    chart and gradient and two stacked embeds and values for the directions
-    still ascending.  A direction stops at machine-level residuals, or when
-    a step gains nothing, and keeps its current chart.  The line search
-    moves no parameter by more than ASCENT_MAX_MOVE: from a coarse grid
-    node a longer step makes B_v multimodal along the line, and the search
-    would settle on a lower mode.  Returns (values, params, chart), chart
-    the stacked chart at params, the one chart of each contact: the chart
-    of the start, with the rows that moved overwritten by each step.
+    the surface metric, which is coordinate-free) along the line
+    normalize(p + t B(p) dp) of the chart about p, with a line search
+    (`_line_max`): per step one stacked chart and gradient and two stacked
+    embeds and values for the directions still ascending.  A direction
+    stops at machine-level residuals, or when a step gains nothing, and
+    keeps its current chart.  The line search moves no chart coordinate by
+    more than ASCENT_MAX_MOVE (B is orthonormal, so about that many radians
+    of arc on S^n): from a coarse grid node a longer step makes B_v
+    multimodal along the line, and the search would settle on a lower
+    mode.  Returns (values, params, chart), chart the stacked chart at
+    params, the one chart of each contact: the chart of the start, with
+    the rows that moved overwritten by each step.
     """
     space = M.space
     p, best = np.array(p, dtype=float), np.array(best, dtype=float)
@@ -222,7 +213,7 @@ def _ascend_max(M, bus: BusemannFunction, p, best):
         rows, dp = rows[go], dp[go]
         if not len(rows):
             break
-        # ascent step ~ inverse curvature of B on M, capped in parameter space
+        # ascent step ~ inverse curvature of B on M, capped in the chart
         t_max = np.minimum(4.0, ASCENT_MAX_MOVE / np.max(np.abs(dp), axis=-1))
         start = p[rows]
         s, val = _line_max(partial(_line_values, M, bus, rows, start, dp),
@@ -232,7 +223,7 @@ def _ascend_max(M, bus: BusemannFunction, p, best):
         if not len(rows):
             break
         best[rows] = val[up]
-        p[rows] = start[up] + s[up, None] * dp[up]
+        p[rows] = _step(start[up], s[up, None] * dp[up])
         at = M.chart(p[rows])
         for k, v in at.items():
             if k == "x":

@@ -310,4 +310,6 @@ def test_c12_spd_end_to_end(record_property):
     assert rep.passed
     assert rep.details["sweep_failures"] == 0
     assert rep.margin > 0.0
+    # the finite-difference shape operator is symmetric at every node
+    assert np.max(M.grid_forms().sym_residual) < 1e-8
     assert elapsed < 600.0, f"runtime {elapsed:.2f}s exceeds 10min budget"

@@ -275,23 +275,6 @@ def test_ball_volume_one_chart_per_block(h3, block, calls, monkeypatch):
     assert len(seen) == calls
 
 
-@pytest.mark.parametrize("spec,grid", [("euclidean:3", [4, 8]),
-                                       ("hyperbolic:5,kappa=1", [3] * 4)])
-def test_in_chart(spec, grid):
-    # a row is in the chart iff it is finite and, for n = 2, |u| < 1; the
-    # evaluators reject a stack with any row outside it
-    space = parse_space(spec)
-    M = geodesic_sphere(space, space.origin(), 1.0, grid)
-    q = np.repeat(M.params[:1], 6, axis=0)
-    q[1, 0], q[2, 0], q[3, -1], q[4, 0] = 1.0, -1.5, math.nan, math.inf
-    expected = [True, M.n > 2, M.n > 2, False, False, True]
-    assert M.in_chart(q).tolist() == expected
-    assert M.in_chart(M.params).all() and M.in_chart(q[0])
-    with pytest.raises(InputDomainError):
-        M.embed(q)
-    M.embed(q[np.array(expected)])
-
-
 def test_radius_profile_stack():
     p = RadiusProfile(np.array([0.5, 1.0, 2.0]))
     e = np.tile([1.0, 0.0, 0.0], (3, 1))
@@ -359,8 +342,8 @@ def test_spd_point_matches_one_row_stack_bitwise():
     space = parse_space("spd:3")
     M = geodesic_sphere(space, space.origin(), 0.5, [6] * 4)
     rng = np.random.default_rng(0)
-    q = rng.uniform(0.0, math.pi, (2000, 4)) * [1.0, 1.0, 1.0, 2.0]
-    for p in q:
+    q = rng.standard_normal((2000, 5))
+    for p in q / np.linalg.norm(q, axis=-1, keepdims=True):
         one, row = M._evaluate(p)[0], M._evaluate(p[None])[0]
         assert np.array_equal(one.parts[0], row.parts[0][0])
 
@@ -392,15 +375,33 @@ def test_batched_forms_match_off_grid(spec, surface, grid):
             assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
-@pytest.mark.parametrize("spec,r,gk", [
-    ("euclidean:3", 0.7, 1.0 / 0.7 ** 2),
-    ("hyperbolic:3,kappa=1", 1.0, 1.0 / math.tanh(1.0) ** 2),
-    ("hyperbolic:3,kappa=1", 0.3, 1.0 / math.tanh(0.3) ** 2),
-], ids=["e3-r0.7", "h3-r1", "h3-r0.3"])
-def test_gauss_curvature_closed_form_every_node(spec, r, gk):
-    # [DERIVED] E3 sphere GK = 1/r^2, H3 sphere GK = coth^2 r, at every node
+@pytest.mark.parametrize("spec,r,gk,grid", [
+    ("euclidean:3", 0.7, 1.0 / 0.7 ** 2, [12, 24]),
+    ("hyperbolic:3,kappa=1", 1.0, 1.0 / math.tanh(1.0) ** 2, [12, 24]),
+    ("hyperbolic:3,kappa=1", 0.3, 1.0 / math.tanh(0.3) ** 2, [12, 24]),
+    ("hyperbolic:3,kappa=1", 1.0, 1.0 / math.tanh(1.0) ** 2, [32, 64]),
+    ("hyperbolic:5,kappa=1", 1.0, 1.0 / math.tanh(1.0) ** 4, [8] * 4),
+], ids=["e3-r0.7", "h3-r1", "h3-r0.3", "h3-r1-32x64", "h5-r1-8^4"])
+def test_gauss_curvature_closed_form_every_node(spec, r, gk, grid):
+    # [DERIVED] E3 sphere GK = 1/r^2, H^{n+1} sphere GK = coth^n r, at every
+    # node, also at the nodes next to the poles of the grid's angle axes
+    # (the finer grids), where a surface step of h is a huge angle step
     space = parse_space(spec)
-    M = geodesic_sphere(space, space.origin(), r, [12, 24])
+    M = geodesic_sphere(space, space.origin(), r, grid)
     d = M.grid_forms()
     assert np.max(np.abs(d.GK / gk - 1.0)) < 1e-6
     assert np.max(d.sym_residual) < 1e-6 * gk
+
+
+@pytest.mark.parametrize("spec,k_ambient", [
+    ("euclidean:3", 0.0), ("hyperbolic:3,kappa=1", -1.0)], ids=["e3", "h3"])
+def test_gauss_bonnet_nonconvex_graph(spec, k_ambient):
+    # [DERIVED] Gauss-Bonnet with the Gauss equation: the intrinsic
+    # curvature GK + K_N integrates to 4 pi on every closed 2-sphere; on the
+    # amp-0.8 latitude graph A is indefinite on a band of nodes
+    space = parse_space(spec)
+    M = radial_graph(space, space.origin(), 1.0, "latitude", 0.8, [96, 192])
+    d = M.grid_forms()
+    assert np.min(d.GK) < -1.0
+    euler = np.sum((d.GK + k_ambient) * d.area_weight) / (4 * math.pi)
+    assert abs(euler - 1.0) < 3e-7
